@@ -19,11 +19,11 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selearn_core::{
-    check_labels, estimate_weights_with_report, Objective, SelearnError, SelectivityEstimator,
-    TrainingQuery, WeightSolver,
+    assemble_design_matrix, check_labels, estimate_weights_with_report, Objective, SelearnError,
+    SelectivityEstimator, TrainingQuery, WeightSolver,
 };
 use selearn_geom::{Range, RangeQuery, Rect, VolumeEstimator, EPS};
-use selearn_solver::{DenseMatrix, SolveReport};
+use selearn_solver::SolveReport;
 
 /// QuickSel configuration.
 #[derive(Clone, Debug)]
@@ -86,18 +86,15 @@ impl QuickSel {
         // drop degenerate kernels
         kernels.retain(|k| k.volume() > EPS);
 
-        let mut a = DenseMatrix::zeros(0, 0);
-        let mut s = Vec::with_capacity(queries.len());
-        for q in queries {
-            let row: Vec<f64> = kernels
+        let a = assemble_design_matrix(queries, kernels.len(), |q| {
+            kernels
                 .iter()
                 .map(|k| {
                     (q.range.intersection_volume(k, &config.volume) / k.volume()).clamp(0.0, 1.0)
                 })
-                .collect();
-            a.push_row(&row);
-            s.push(q.selectivity);
-        }
+                .collect()
+        });
+        let s: Vec<f64> = queries.iter().map(|q| q.selectivity).collect();
         let (weights, solve_report) = if a.rows() == 0 {
             (vec![1.0 / kernels.len() as f64; kernels.len()], None)
         } else {

@@ -13,13 +13,13 @@
 //! canonical grid refinement; a `max_cells` guard fails fast instead of
 //! exhausting memory.
 
+use crate::assemble::assemble_design_matrix;
 use crate::error::SelearnError;
 use crate::estimator::{SelectivityEstimator, TrainingQuery};
 use crate::weights::{estimate_weights, Objective, WeightSolver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selearn_geom::{grid_arrangement, sample_in_rect, Point, Range, RangeQuery, Rect, EPS};
-use selearn_solver::DenseMatrix;
 
 /// Configuration for [`ArrangementHist`].
 #[derive(Clone, Debug)]
@@ -103,15 +103,15 @@ impl ArrangementHist {
 
         // Design matrix: each cell is entirely in or out of each range, so
         // entries are (numerically) 0/1 in histogram mode too.
-        let mut a = DenseMatrix::zeros(0, 0);
-        let mut s = Vec::with_capacity(queries.len());
-        for (q, rect) in queries.iter().zip(&rects) {
-            let row: Vec<f64> = if config.discrete {
+        let a = if config.discrete {
+            assemble_design_matrix(queries, points.len(), |q| {
                 points
                     .iter()
                     .map(|p| if q.range.contains(p) { 1.0 } else { 0.0 })
                     .collect()
-            } else {
+            })
+        } else {
+            assemble_design_matrix(&rects, cells.len(), |rect| {
                 cells
                     .iter()
                     .map(|c| {
@@ -123,10 +123,9 @@ impl ArrangementHist {
                         }
                     })
                     .collect()
-            };
-            a.push_row(&row);
-            s.push(q.selectivity);
-        }
+            })
+        };
+        let s: Vec<f64> = queries.iter().map(|q| q.selectivity).collect();
         let weights = if a.rows() == 0 {
             vec![1.0 / cells.len() as f64; cells.len()]
         } else {

@@ -1,15 +1,18 @@
 //! Design-matrix assembly shared by the estimators.
 //!
-//! Every estimator's phase 2 builds a dense design matrix with one row per
-//! training query (Equations 7 and 8). Rows are mutually independent —
-//! row `i` is a pure function of query `i` and the (fixed) bucket layout —
-//! so with the `parallel` feature they are built concurrently and
+//! Every estimator's phase 2 builds a design matrix with one row per
+//! training query (Equations 7 and 8). A query overlaps only some buckets,
+//! so each row is compressed as it is built and the matrix is assembled
+//! directly in sparse ([`CsrMatrix`]) form: the dense `rows × cols` buffer
+//! never exists. Rows are mutually independent — row `i` is a pure
+//! function of query `i` and the (fixed) bucket layout — so with the
+//! `parallel` feature they are built and compressed concurrently and
 //! concatenated in query order. The same row-builder closure runs in both
-//! the serial and the parallel path, and the parallel path preserves row
-//! order exactly, so the assembled matrix is bitwise identical either way.
+//! paths, so the assembled matrix is bitwise identical either way.
 
+#[cfg(doc)]
 use crate::estimator::TrainingQuery;
-use selearn_solver::DenseMatrix;
+use selearn_solver::CsrMatrix;
 
 #[cfg(feature = "parallel")]
 use rayon::prelude::*;
@@ -20,40 +23,57 @@ use rayon::prelude::*;
 const PAR_ENTRY_THRESHOLD: usize = 2_048;
 
 /// Builds the `queries.len() × cols` design matrix, one `build_row` call
-/// per training query. `build_row` must return a row of exactly `cols`
-/// entries and must be a pure function of its query (it runs concurrently
-/// under the `parallel` feature).
-pub(crate) fn assemble_design_matrix<F>(
-    queries: &[TrainingQuery],
-    cols: usize,
-    build_row: F,
-) -> DenseMatrix
+/// per training query (usually a [`TrainingQuery`]; any per-row input
+/// works). `build_row` must return a dense row of exactly `cols` entries
+/// and must be a pure function of its query (it runs concurrently under
+/// the `parallel` feature).
+///
+/// Counts `design_matrix_entries` (`rows × cols`) and
+/// `design_matrix_nonzeros` (stored entries) when observability is on.
+pub fn assemble_design_matrix<Q, F>(queries: &[Q], cols: usize, build_row: F) -> CsrMatrix
 where
-    F: Fn(&TrainingQuery) -> Vec<f64> + Sync,
+    Q: Sync,
+    F: Fn(&Q) -> Vec<f64> + Sync,
 {
     let _span = selearn_obs::span!("assemble");
+    let a = compress_rows(queries, cols, &build_row);
     selearn_obs::counter_add("design_matrix_entries", (queries.len() * cols) as u64);
+    selearn_obs::counter_add("design_matrix_nonzeros", a.nnz() as u64);
+    a
+}
+
+/// Builds and compresses one row per query, in query order.
+fn compress_rows<Q, F>(queries: &[Q], cols: usize, build_row: &F) -> CsrMatrix
+where
+    Q: Sync,
+    F: Fn(&Q) -> Vec<f64> + Sync,
+{
+    let mut a = CsrMatrix::with_cols(cols);
     #[cfg(feature = "parallel")]
     if queries.len() * cols >= PAR_ENTRY_THRESHOLD && rayon::current_num_threads() > 1 {
-        let rows: Vec<Vec<f64>> = queries.par_iter().map(&build_row).collect();
-        let mut data = Vec::with_capacity(queries.len() * cols);
-        for row in &rows {
-            assert_eq!(row.len(), cols, "row length mismatch");
-            data.extend_from_slice(row);
+        let pieces: Vec<CsrMatrix> = queries
+            .par_iter()
+            .map(|q| {
+                let mut piece = CsrMatrix::with_cols(cols);
+                piece.push_row(&build_row(q));
+                piece
+            })
+            .collect();
+        for piece in &pieces {
+            a.append(piece);
         }
-        return DenseMatrix::from_vec(queries.len(), cols, data);
+        return a;
     }
-    let mut a = DenseMatrix::zeros(0, 0);
     for q in queries {
         a.push_row(&build_row(q));
     }
-    debug_assert!(queries.is_empty() || a.cols() == cols, "row length mismatch");
     a
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::TrainingQuery;
     use selearn_geom::Rect;
 
     fn queries(n: usize) -> Vec<TrainingQuery> {
@@ -70,15 +90,19 @@ mod tests {
         });
         assert_eq!(a.rows(), 50);
         assert_eq!(a.cols(), 3);
+        let dense = a.to_dense();
         for (i, q) in qs.iter().enumerate() {
-            assert_eq!(a[(i, 0)], q.selectivity);
-            assert_eq!(a[(i, 1)], 2.0 * q.selectivity);
+            assert_eq!(dense[(i, 0)], q.selectivity);
+            assert_eq!(dense[(i, 1)], 2.0 * q.selectivity);
         }
+        // row 0 has selectivity 0: only the constant column is stored
+        assert_eq!(a.row(0).0, &[2]);
+        assert_eq!(a.nnz(), 50 + 2 * 49);
     }
 
     #[test]
     fn empty_workload_yields_empty_matrix() {
-        let a = assemble_design_matrix(&[], 4, |_| vec![0.0; 4]);
+        let a = assemble_design_matrix(&[] as &[TrainingQuery], 4, |_| vec![0.0; 4]);
         assert_eq!(a.rows(), 0);
     }
 
@@ -93,8 +117,12 @@ mod tests {
                 .map(|j| ((q.selectivity + j as f64) * 0.37).sin())
                 .collect()
         };
-        let a = assemble_design_matrix(&qs, 8, build);
-        let mut want = DenseMatrix::zeros(0, 0);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(4)
+            .build()
+            .unwrap();
+        let a = pool.install(|| assemble_design_matrix(&qs, 8, build));
+        let mut want = CsrMatrix::with_cols(8);
         for q in &qs {
             want.push_row(&build(q));
         }

@@ -20,6 +20,7 @@
 //! halfspaces (a 1-D normal CDF along the normal direction), and
 //! deterministic quasi-Monte-Carlo for balls and semi-algebraic ranges.
 
+use crate::assemble::assemble_design_matrix;
 use crate::error::SelearnError;
 use crate::estimator::{SelectivityEstimator, TrainingQuery};
 use crate::weights::{estimate_weights, Objective, WeightSolver};
@@ -30,7 +31,6 @@ use selearn_geom::{
     inv_std_normal_cdf, normal_mass, sample_in_rect, std_normal_cdf, Point, Range, RangeQuery,
     Rect, RejectionSampler,
 };
-use selearn_solver::DenseMatrix;
 
 /// GaussHist configuration.
 #[derive(Clone, Debug)]
@@ -158,17 +158,14 @@ impl GaussHist {
             sigma: config.bandwidth,
             qmc_samples: config.qmc_samples,
         };
-        let mut a = DenseMatrix::zeros(0, 0);
-        let mut s = Vec::with_capacity(queries.len());
-        for q in queries {
-            let row: Vec<f64> = probe
+        let a = assemble_design_matrix(queries, probe.centers.len(), |q| {
+            probe
                 .centers
                 .iter()
                 .map(|c| probe.kernel_mass(c, &q.range))
-                .collect();
-            a.push_row(&row);
-            s.push(q.selectivity);
-        }
+                .collect()
+        });
+        let s: Vec<f64> = queries.iter().map(|q| q.selectivity).collect();
         let weights = if a.rows() == 0 {
             vec![1.0 / probe.centers.len() as f64; probe.centers.len()]
         } else {

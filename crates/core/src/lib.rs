@@ -29,7 +29,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod arrangement_hist;
-pub(crate) mod assemble;
+pub mod assemble;
 pub mod cdf1d;
 pub mod error;
 pub mod estimator;
@@ -38,12 +38,14 @@ pub mod gausshist;
 pub mod online;
 pub mod persist;
 pub mod ptshist;
+pub mod qerror;
 pub mod quadhist;
 pub mod quadtree;
 pub mod quantize;
 pub mod weights;
 
 pub use arrangement_hist::{ArrangementHist, ArrangementHistConfig};
+pub use assemble::assemble_design_matrix;
 pub use cdf1d::{Cdf1D, Cdf1DConfig};
 pub use error::{check_labels, SelearnError};
 pub use estimator::{BoxedEstimator, SelectivityEstimator, SharedEstimator, TrainingQuery};
@@ -54,6 +56,7 @@ pub use persist::{
     load_frozen, load_ptshist, load_quadhist, save_ptshist, save_quadhist, PersistError,
 };
 pub use ptshist::{PtsHist, PtsHistConfig};
+pub use qerror::{q_error, Q_ERROR_FLOOR};
 pub use quadhist::{QuadHist, QuadHistConfig};
 pub use quadtree::QuadTree;
 pub use quantize::{

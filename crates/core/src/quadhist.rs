@@ -135,15 +135,19 @@ impl QuadHist {
         // "saturated" = the cap is what stopped refinement, so the count
         // sits within one split of the target.
         let saturated = target.saturating_sub((1usize << root.dim()) - 1).max(1);
-        let probe = |tau: f64| {
+        // A probe only asks whether τ saturates, and leaf counts only grow
+        // as queries are inserted, so it stops at the first query that
+        // brings the count to `saturated`: the answer, and so every
+        // bisection step and the chosen τ, is the full build's.
+        let saturates = |tau: f64| {
             let mut cand = config.clone();
             cand.tau = tau;
             cand.max_leaves = target;
-            Self::design_buckets_unchecked(&root, queries, &cand).num_leaves()
+            Self::design_buckets_unchecked(&root, queries, &cand, saturated).num_leaves() >= saturated
         };
         for _ in 0..24 {
             let mid = 0.5 * (lo + hi);
-            if probe(mid.exp()) >= saturated {
+            if saturates(mid.exp()) {
                 lo = mid; // still saturated → τ can be coarser
             } else {
                 hi = mid; // under target → τ must get finer
@@ -177,18 +181,24 @@ impl QuadHist {
         config: &QuadHistConfig,
     ) -> Result<QuadTree, SelearnError> {
         Self::validate(queries, config)?;
-        Ok(Self::design_buckets_unchecked(root, queries, config))
+        Ok(Self::design_buckets_unchecked(root, queries, config, usize::MAX))
     }
 
-    /// [`QuadHist::design_buckets`] after validation has already run.
+    /// [`QuadHist::design_buckets`] after validation has already run,
+    /// stopped before the next query once the partition has `stop_at`
+    /// leaves (`usize::MAX` = the full pass).
     fn design_buckets_unchecked(
         root: &Rect,
         queries: &[TrainingQuery],
         config: &QuadHistConfig,
+        stop_at: usize,
     ) -> QuadTree {
         let _span = selearn_obs::span!("design_buckets");
         let mut tree = QuadTree::new(root.clone());
         for q in queries {
+            if tree.num_leaves() >= stop_at {
+                break;
+            }
             let vol_r = q.range.volume_in(root, &config.volume);
             if vol_r <= EPS {
                 continue;
@@ -390,27 +400,28 @@ pub(crate) fn update_quad(
     vol_r: f64,
     config: &QuadHistConfig,
 ) {
-    let cell = tree.rect(node).clone();
-    let p = range.intersection_volume(&cell, &config.volume) / vol_r * selectivity;
+    let p = range.intersection_volume(tree.rect(node), &config.volume) / vol_r * selectivity;
     if p <= config.tau {
         return;
     }
+    let fanout = 1usize << tree.dim();
     if tree.is_leaf(node) {
-        let fanout = 1usize << tree.dim();
         let within_cap = config.max_leaves == 0
             || tree.num_leaves() + fanout - 1 <= config.max_leaves;
         if !within_cap {
             return;
         }
         // guard against unbounded recursion on pathologically tiny cells
-        if cell.volume() <= 1e-15 {
+        if tree.rect(node).volume() <= 1e-15 {
             return;
         }
         tree.split(node);
         selearn_obs::counter_add("quadtree_splits", 1);
     }
-    let children: Vec<NodeId> = tree.children(node).collect();
-    for c in children {
+    let Some(first) = tree.first_child(node) else {
+        return;
+    };
+    for c in first..first + fanout {
         update_quad(tree, c, range, selectivity, vol_r, config);
     }
 }

@@ -11,10 +11,14 @@
 //! where `s_D(R_i) = Σ_j A[i][j] · w_j` with the design matrix
 //! `A[i][j] = vol(B_j ∩ R_i)/vol(B_j)` for histogram buckets (Equation 6)
 //! or `A[i][j] = 1(B_j ∈ R_i)` for discrete support points (Equation 7).
+//!
+//! The design matrix arrives sparse ([`CsrMatrix`]); FISTA, the default,
+//! runs on it directly. Only the NNLS and `L∞` solvers, which need dense
+//! columns, densify it.
 
 use selearn_solver::{
     fista_simplex_ls, linf_fit_exact, linf_fit_smoothed_with_report, nnls_simplex_with_report,
-    DenseMatrix, FistaOptions, LinfOptions, NnlsOptions, SolveReport, SolverError,
+    CsrMatrix, FistaOptions, LinfOptions, NnlsOptions, SolveReport, SolverError,
 };
 
 use crate::error::SelearnError;
@@ -50,7 +54,7 @@ pub enum Objective {
 /// non-finite entry is a typed [`SelearnError`]; an empty query set
 /// returns the uniform distribution (no information).
 pub fn estimate_weights(
-    a: &DenseMatrix,
+    a: &CsrMatrix,
     s: &[f64],
     objective: &Objective,
     solver: &WeightSolver,
@@ -66,7 +70,7 @@ pub fn estimate_weights(
 /// iterate — surfaced here with a debug log (not a panic: the iterate is
 /// still feasible and usually near-optimal; see `solver::report`).
 pub fn estimate_weights_with_report(
-    a: &DenseMatrix,
+    a: &CsrMatrix,
     s: &[f64],
     objective: &Objective,
     solver: &WeightSolver,
@@ -89,23 +93,29 @@ pub fn estimate_weights_with_report(
                 (r.weights, Some(report))
             }
             WeightSolver::NnlsPenalty => {
-                let (w, report) = nnls_simplex_with_report(a, s, &NnlsOptions::default())?;
+                let (w, report) =
+                    nnls_simplex_with_report(&a.to_dense(), s, &NnlsOptions::default())?;
                 (w, Some(report))
             }
         },
-        Objective::LInfExact => match linf_fit_exact(a, s) {
-            Ok(w) => (w, None), // exact LP: no iterative report
-            // The LP failing to reach an optimum (degenerate pivoting) is
-            // recoverable: fall back to the smoothed solver. Real input
-            // errors propagate.
-            Err(SolverError::LpNotOptimal { .. }) => {
-                let (w, report) = linf_fit_smoothed_with_report(a, s, &LinfOptions::default())?;
-                (w, Some(report))
+        Objective::LInfExact => {
+            let dense = a.to_dense();
+            match linf_fit_exact(&dense, s) {
+                Ok(w) => (w, None), // exact LP: no iterative report
+                // The LP failing to reach an optimum (degenerate pivoting)
+                // is recoverable: fall back to the smoothed solver. Real
+                // input errors propagate.
+                Err(SolverError::LpNotOptimal { .. }) => {
+                    let (w, report) =
+                        linf_fit_smoothed_with_report(&dense, s, &LinfOptions::default())?;
+                    (w, Some(report))
+                }
+                Err(e) => return Err(e.into()),
             }
-            Err(e) => return Err(e.into()),
-        },
+        }
         Objective::LInfSmoothed => {
-            let (w, report) = linf_fit_smoothed_with_report(a, s, &LinfOptions::default())?;
+            let (w, report) =
+                linf_fit_smoothed_with_report(&a.to_dense(), s, &LinfOptions::default())?;
             (w, Some(report))
         }
     };
@@ -133,8 +143,8 @@ pub fn estimate_weights_with_report(
 mod tests {
     use super::*;
 
-    fn design() -> (DenseMatrix, Vec<f64>) {
-        let a = DenseMatrix::from_rows(&[
+    fn design() -> (CsrMatrix, Vec<f64>) {
+        let a = CsrMatrix::from_rows(&[
             vec![1.0, 0.0, 0.5],
             vec![0.0, 1.0, 0.5],
             vec![1.0, 1.0, 1.0],
@@ -163,7 +173,7 @@ mod tests {
 
     #[test]
     fn no_queries_gives_uniform() {
-        let a = DenseMatrix::zeros(0, 4);
+        let a = CsrMatrix::with_cols(4);
         let w = estimate_weights(&a, &[], &Objective::L2, &WeightSolver::Fista).unwrap();
         for &v in &w {
             assert!((v - 0.25).abs() < 1e-12);
@@ -172,7 +182,7 @@ mod tests {
 
     #[test]
     fn zero_buckets_is_typed_error() {
-        let a = DenseMatrix::zeros(1, 0);
+        let a = CsrMatrix::from_rows(&[vec![]]);
         let err = estimate_weights(&a, &[0.5], &Objective::L2, &WeightSolver::Fista).unwrap_err();
         assert!(matches!(
             err,

@@ -46,22 +46,9 @@ pub fn l_inf_error(estimated: &[f64], truth: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Selectivity floor applied before computing Q-error ratios. A selectivity
-/// of exactly 0 would make the ratio infinite; systems conventionally floor
-/// at "one tuple" — with the harness's 100K-row datasets that is 1e-5.
-pub const Q_ERROR_FLOOR: f64 = 1e-5;
-
-/// Q-error of a single estimate: `max(ŝ', s')/min(ŝ', s')` where both
-/// values are floored at [`Q_ERROR_FLOOR`].
-pub fn q_error(estimated: f64, truth: f64) -> f64 {
-    let e = estimated.max(Q_ERROR_FLOOR);
-    let t = truth.max(Q_ERROR_FLOOR);
-    if e > t {
-        e / t
-    } else {
-        t / e
-    }
-}
+/// The single-estimate Q-error and its selectivity floor live in
+/// `selearn-core`, shared with the serving drift monitor.
+pub use selearn_core::{q_error, Q_ERROR_FLOOR};
 
 /// Q-error quantile summary, matching the columns of the paper's tables.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -20,17 +20,9 @@
 //! after learning from this very record.
 
 use crate::registry::ModelRegistry;
-use selearn_core::TrainingQuery;
+use selearn_core::{q_error, TrainingQuery};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
-
-/// Floor for q-error denominators: selectivities at or below this are
-/// treated as "essentially zero" so empty ranges don't explode the ratio.
-/// Mirrors `Q_ERROR_FLOOR` in `crates/data/src/metrics.rs` (the bench
-/// harness) so drift alarms and offline q-error reports agree on what
-/// counts as an empty range; serve deliberately does not depend on
-/// selearn-data, hence the mirrored constant.
-const QERROR_EPS: f64 = 1e-5;
 
 /// Drift-monitor tuning. `Default` is sized for the serve bin: 64-record
 /// windows, alarm at p95 q-error > 4 for 3 consecutive windows.
@@ -124,9 +116,7 @@ impl DriftMonitor {
         let (model, _generation) = slot.get();
         let predicted = model.estimate(&feedback.range);
         let actual = feedback.selectivity;
-        let hi = predicted.max(actual).max(QERROR_EPS);
-        let lo = predicted.min(actual).max(QERROR_EPS);
-        let qerror = hi / lo;
+        let qerror = q_error(predicted, actual);
 
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let drift = state.entry(model_name.to_string()).or_default();

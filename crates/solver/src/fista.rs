@@ -1,16 +1,16 @@
 //! FISTA — accelerated projected gradient descent on the simplex.
 //!
 //! Default solver for the weight-estimation QP (Equation 8):
-//! `min ‖Aw − s‖²` over the probability simplex. Each iteration costs two
-//! matrix-vector products, so it scales to the paper's largest instances
-//! (2000 training queries × 8000 buckets) where an active-set method would
-//! struggle. Uses the Beck–Teboulle momentum schedule with adaptive restart
-//! (O'Donoghue–Candès) for robustness.
+//! `min ‖Aw − s‖²` over the probability simplex. Each iteration costs
+//! three sparse matrix-vector products, so it scales to the paper's
+//! largest instances (2000 training queries × 8000 buckets) where an
+//! active-set method would struggle. Uses the Beck–Teboulle momentum
+//! schedule with adaptive restart (O'Donoghue–Candès) for robustness.
 
 use crate::error::{check_finite, check_len, SolverError};
-use crate::matrix::DenseMatrix;
+use crate::csr::CsrMatrix;
 use crate::report::SolveReport;
-use crate::simplex_proj::simplex_projection;
+use crate::simplex_proj::simplex_projection_into;
 
 /// FISTA configuration.
 #[derive(Clone, Debug)]
@@ -71,10 +71,17 @@ impl FistaResult {
 
 /// Minimizes `‖Aw − s‖²` over the probability simplex.
 ///
+/// `a` is sparse: each iteration's three products (`A y`, `Aᵀ r` and the
+/// loss's `A w`) touch only stored entries, and every product is
+/// bit-identical to the dense kernel's (see [`crate::csr`]), so the
+/// iterates do not depend on the storage. The iteration buffers are
+/// allocated once per solve.
+///
 /// Returns a typed [`SolverError`] when `a` has zero columns, the row
-/// count differs from `s`, or any input entry is NaN/infinite.
+/// count differs from `s`, any input entry is NaN/infinite (design entries
+/// reported by row-major flat index), or `rel_tol` is negative or NaN.
 pub fn fista_simplex_ls(
-    a: &DenseMatrix,
+    a: &CsrMatrix,
     s: &[f64],
     opts: &FistaOptions,
 ) -> Result<FistaResult, SolverError> {
@@ -104,11 +111,32 @@ pub fn fista_simplex_ls(
     let lip = (2.0 * lambda).max(1e-12);
     let step = 1.0 / lip;
 
+    // Iteration buffers: residual, gradient, candidate iterate and the
+    // projection's sort scratch.
+    let mut r = vec![0.0; a.rows()];
+    let mut g = vec![0.0; m];
+    let mut w_next = vec![0.0; m];
+    let mut sorted = Vec::with_capacity(m);
+    // ‖A x − s‖², through the residual buffer.
+    let loss_at = |x: &[f64], r: &mut [f64]| -> f64 {
+        a.residual_into(x, s, r);
+        r.iter().map(|ri| ri * ri).sum()
+    };
+    // out = Π_Δ(x − 2·step·∇f(x)/2): the projected gradient step from x.
+    let mut gradient_step = |x: &[f64], out: &mut [f64], r: &mut [f64], g: &mut [f64]| {
+        a.residual_into(x, s, r);
+        a.matvec_t_into(r, g); // = ∇f(x) / 2
+        for ((o, &xi), &gi) in out.iter_mut().zip(x).zip(g.iter()) {
+            *o = xi - 2.0 * step * gi;
+        }
+        simplex_projection_into(out, &mut sorted);
+    };
+
     // Start from the uniform distribution.
     let mut w = vec![1.0 / m as f64; m];
     let mut y = w.clone();
     let mut t = 1.0f64;
-    let mut loss_prev = a.residual_sq(&w, s);
+    let mut loss_prev = loss_at(&w, &mut r);
     let mut iters = 0;
     let mut converged = false;
 
@@ -118,59 +146,43 @@ pub fn fista_simplex_ls(
             selearn_obs::solver_iteration("fista", k, loss_prev.max(0.0).sqrt(), step);
         }
         // gradient step at the extrapolated point y
-        let r = a.residual(&y, s);
-        let g = a.matvec_t(&r); // = ∇f(y) / 2
-        let mut w_next: Vec<f64> = y
-            .iter()
-            .zip(&g)
-            .map(|(&yi, &gi)| yi - 2.0 * step * gi)
-            .collect();
-        simplex_projection(&mut w_next);
-
-        let loss = a.residual_sq(&w_next, s);
+        gradient_step(&y, &mut w_next, &mut r, &mut g);
+        let loss = loss_at(&w_next, &mut r);
         // adaptive restart: if the objective went up, drop the momentum
         if loss > loss_prev {
             t = 1.0;
-            y = w.clone();
-            // re-take a plain projected-gradient step from w
-            let r = a.residual(&w, s);
-            let g = a.matvec_t(&r);
-            let mut w_pg: Vec<f64> = w
-                .iter()
-                .zip(&g)
-                .map(|(&wi, &gi)| wi - 2.0 * step * gi)
-                .collect();
-            simplex_projection(&mut w_pg);
-            let loss_pg = a.residual_sq(&w_pg, s);
+            // re-take a plain projected-gradient step from w (into w_next,
+            // whose rejected candidate is no longer needed)
+            gradient_step(&w, &mut w_next, &mut r, &mut g);
+            let loss_pg = loss_at(&w_next, &mut r);
+            let mut stop = false;
             if loss_pg <= loss_prev {
-                w = w_pg;
-                y = w.clone();
-                if loss_prev - loss_pg < opts.rel_tol * (loss_prev + 1e-12) {
-                    loss_prev = loss_pg;
-                    converged = true;
-                    break;
-                }
+                std::mem::swap(&mut w, &mut w_next);
+                stop = loss_prev - loss_pg < opts.rel_tol * (loss_prev + 1e-12);
                 loss_prev = loss_pg;
+            }
+            y.copy_from_slice(&w);
+            if stop {
+                converged = true;
+                break;
             }
             continue;
         }
 
         let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
         let beta = (t - 1.0) / t_next;
-        y = w_next
-            .iter()
-            .zip(&w)
-            .map(|(&wn, &wo)| wn + beta * (wn - wo))
-            .collect();
+        for ((yi, &wn), &wo) in y.iter_mut().zip(&w_next).zip(&w) {
+            *yi = wn + beta * (wn - wo);
+        }
         let improved = loss_prev - loss;
-        w = w_next;
+        let stop = improved >= 0.0 && improved < opts.rel_tol * (loss_prev + 1e-12);
+        std::mem::swap(&mut w, &mut w_next);
         t = t_next;
-        if improved >= 0.0 && improved < opts.rel_tol * (loss_prev + 1e-12) {
-            loss_prev = loss;
+        loss_prev = loss;
+        if stop {
             converged = true;
             break;
         }
-        loss_prev = loss;
     }
 
     let result = FistaResult {
@@ -189,6 +201,7 @@ pub fn fista_simplex_ls(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::DenseMatrix;
 
     fn on_simplex(v: &[f64]) -> bool {
         (v.iter().sum::<f64>() - 1.0).abs() < 1e-7 && v.iter().all(|&x| x >= -1e-12)
@@ -197,7 +210,7 @@ mod tests {
     #[test]
     fn recovers_exact_simplex_solution() {
         // A = I, s on the simplex ⇒ w = s exactly, loss 0.
-        let a = DenseMatrix::identity(3);
+        let a = CsrMatrix::from_dense(&DenseMatrix::identity(3));
         let s = vec![0.2, 0.3, 0.5];
         let r = fista_simplex_ls(&a, &s, &FistaOptions::default()).unwrap();
         assert!(on_simplex(&r.weights));
@@ -210,7 +223,7 @@ mod tests {
     #[test]
     fn infeasible_target_projects() {
         // s outside the simplex image: best fit is the simplex projection.
-        let a = DenseMatrix::identity(2);
+        let a = CsrMatrix::from_dense(&DenseMatrix::identity(2));
         let s = vec![2.0, 0.0];
         let r = fista_simplex_ls(&a, &s, &FistaOptions::default()).unwrap();
         assert!(on_simplex(&r.weights));
@@ -221,7 +234,7 @@ mod tests {
     #[test]
     fn overdetermined_consistent_system() {
         // Two buckets, three consistent observations: w = (0.25, 0.75).
-        let a = DenseMatrix::from_rows(&[
+        let a = CsrMatrix::from_rows(&[
             vec![1.0, 0.0],
             vec![0.0, 1.0],
             vec![1.0, 1.0],
@@ -236,7 +249,7 @@ mod tests {
     #[test]
     fn matches_brute_force_on_2d() {
         // Dense 1-D sweep over the 1-simplex validates global optimality.
-        let a = DenseMatrix::from_rows(&[vec![0.8, 0.1], vec![0.3, 0.9], vec![0.5, 0.5]]);
+        let a = CsrMatrix::from_rows(&[vec![0.8, 0.1], vec![0.3, 0.9], vec![0.5, 0.5]]);
         let s = vec![0.4, 0.6, 0.55];
         let r = fista_simplex_ls(&a, &s, &FistaOptions::default()).unwrap();
         let mut best = f64::INFINITY;
@@ -250,7 +263,7 @@ mod tests {
 
     #[test]
     fn zero_matrix_stays_feasible() {
-        let a = DenseMatrix::zeros(2, 3);
+        let a = CsrMatrix::from_dense(&DenseMatrix::zeros(2, 3));
         let s = vec![0.5, 0.5];
         let r = fista_simplex_ls(&a, &s, &FistaOptions::default()).unwrap();
         assert!(on_simplex(&r.weights));
@@ -259,7 +272,7 @@ mod tests {
 
     #[test]
     fn respects_iteration_budget() {
-        let a = DenseMatrix::identity(4);
+        let a = CsrMatrix::from_dense(&DenseMatrix::identity(4));
         let s = vec![0.25; 4];
         let opts = FistaOptions {
             max_iters: 3,
@@ -273,7 +286,7 @@ mod tests {
     fn budget_exhaustion_is_reported_not_silent() {
         // A non-trivial system with a 1-iteration budget cannot meet the
         // rel_tol criterion; the report must say so instead of pretending.
-        let a = DenseMatrix::from_rows(&[vec![0.8, 0.1], vec![0.3, 0.9], vec![0.5, 0.5]]);
+        let a = CsrMatrix::from_rows(&[vec![0.8, 0.1], vec![0.3, 0.9], vec![0.5, 0.5]]);
         let s = vec![0.4, 0.6, 0.55];
         let opts = FistaOptions {
             max_iters: 1,
@@ -302,7 +315,7 @@ mod tests {
             s in proptest::collection::vec(0.0f64..1.0, 12),
         ) {
             let n = rows.len();
-            let a = DenseMatrix::from_rows(&rows);
+            let a = CsrMatrix::from_rows(&rows);
             let s = &s[..n];
             let r = fista_simplex_ls(&a, s, &FistaOptions::default()).unwrap();
             proptest::prop_assert!(on_simplex(&r.weights));

@@ -13,11 +13,14 @@
 //!
 //! * [`DenseMatrix`] — minimal dense linear algebra (matvec, Gram matrices,
 //!   Cholesky) sized for the paper's problem scales;
+//! * [`CsrMatrix`] — the sparse design matrix FISTA runs on, with kernels
+//!   bit-identical to the dense ones;
 //! * [`nnls::nnls`] — Lawson–Hanson non-negative least squares, with a penalty
 //!   row enforcing `Σ w = 1` (the scipy-style pathway);
 //! * [`simplex_projection`] — Euclidean projection onto the probability
 //!   simplex (Duchi et al. 2008), plus [`fista_simplex_ls`]: accelerated
-//!   projected gradient descent, the default scalable solver;
+//!   projected gradient descent on a [`CsrMatrix`], the default scalable
+//!   solver;
 //! * [`linprog::linprog`] — a dense two-phase simplex LP solver used for the exact
 //!   `L∞` objective of Section 4.6 and for linear-separability tests in the
 //!   theory crate;
@@ -31,6 +34,7 @@
 // (clippy.toml exempts #[cfg(test)]); CI runs clippy with -D warnings.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod csr;
 pub mod error;
 pub mod fista;
 pub mod ipf;
@@ -42,6 +46,7 @@ pub mod nnls;
 pub mod report;
 pub mod simplex_proj;
 
+pub use csr::CsrMatrix;
 pub use error::SolverError;
 pub use fista::{fista_simplex_ls, FistaOptions, FistaResult};
 pub use ipf::{ipf_max_entropy, IpfOptions, IpfResult};

@@ -363,7 +363,7 @@ mod tests {
         ]);
         let s = vec![0.35, 0.55, 0.4, 0.5];
         let w1 = nnls_simplex(&a, &s, &NnlsOptions::default()).unwrap();
-        let w2 = fista_simplex_ls(&a, &s, &FistaOptions::default()).unwrap().weights;
+        let w2 = fista_simplex_ls(&crate::CsrMatrix::from_dense(&a), &s, &FistaOptions::default()).unwrap().weights;
         let l1 = a.residual_sq(&w1, &s);
         let l2 = a.residual_sq(&w2, &s);
         assert!(

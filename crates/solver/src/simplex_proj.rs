@@ -19,27 +19,32 @@ use crate::error::{check_finite, SolverError};
 /// there is nothing to project — callers that need to treat this as an
 /// error use the checked variant).
 pub fn simplex_projection(v: &mut [f64]) {
+    simplex_projection_into(v, &mut Vec::new());
+}
+
+/// [`simplex_projection`] with a caller-owned sort buffer, so an
+/// iterative solver projects every iterate without allocating.
+pub(crate) fn simplex_projection_into(v: &mut [f64], sorted: &mut Vec<f64>) {
     if v.is_empty() {
         return;
     }
-    // Sort a copy in descending order. `total_cmp` is NaN-safe: NaNs sort
-    // to a deterministic position instead of violating the comparator
-    // contract and panicking inside `sort_by`.
-    let mut u = v.to_vec();
-    u.sort_by(|a, b| b.total_cmp(a));
-    // Find ρ = max{ j : u_j − (Σ_{k≤j} u_k − 1)/j > 0 }.
+    // Sort a copy in descending order. `total_cmp` is a total order on bit
+    // patterns, so the unstable sort yields the same sequence as a stable
+    // one, and NaNs sort to a deterministic position instead of violating
+    // the comparator contract and panicking.
+    sorted.clear();
+    sorted.extend_from_slice(v);
+    sorted.sort_unstable_by(|a, b| b.total_cmp(a));
+    // θ at ρ = max{ j : u_j − (Σ_{k≤j} u_k − 1)/j > 0 }.
     let mut cumsum = 0.0;
-    let mut rho = 0usize;
     let mut theta = 0.0;
-    for (j, &uj) in u.iter().enumerate() {
+    for (j, &uj) in sorted.iter().enumerate() {
         cumsum += uj;
         let t = (cumsum - 1.0) / (j as f64 + 1.0);
         if uj - t > 0.0 {
-            rho = j;
             theta = t;
         }
     }
-    let _ = rho;
     for w in v.iter_mut() {
         *w = (*w - theta).max(0.0);
     }

@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use selearn_solver::{
-    fista_simplex_ls, isotonic_regression, nnls_simplex, simplex_projection, DenseMatrix,
-    FistaOptions, NnlsOptions,
+    fista_simplex_ls, isotonic_regression, nnls_simplex, simplex_projection, CsrMatrix,
+    DenseMatrix, FistaOptions, NnlsOptions,
 };
 
 const MAX_ROWS: usize = 12;
@@ -55,7 +55,8 @@ proptest! {
         c in 1usize..MAX_COLS,
     ) {
         let a = matrix_from(&entries, r, c);
-        let out = fista_simplex_ls(&a, &s_pool[..r], &FistaOptions::default()).unwrap();
+        let out = fista_simplex_ls(&CsrMatrix::from_dense(&a), &s_pool[..r], &FistaOptions::default())
+            .unwrap();
         assert_on_simplex(&out.weights, c)?;
         prop_assert!(out.loss >= 0.0);
     }

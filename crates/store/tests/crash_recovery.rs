@@ -20,6 +20,7 @@
 //! double-crash scenarios on top.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -32,7 +33,11 @@ fn test_dir(tag: &str) -> PathBuf {
     // prefer a tmpfs so each simulated fsync doesn't hit a real disk.
     let shm = PathBuf::from("/dev/shm");
     let root = if shm.is_dir() { shm } else { std::env::temp_dir() };
-    let d = root.join(format!("selearn-crash-{tag}-{}", std::process::id()));
+    // Tests run concurrently and some share a tag (the budget probe), so
+    // every call gets its own directory.
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let d = root.join(format!("selearn-crash-{tag}-{}-{seq}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
     d
 }

@@ -1,0 +1,163 @@
+//! Golden trained-bits regression: fixed-seed fits of every estimator
+//! that ends in the FISTA weight solve, pinned by an FNV-1a hash over the
+//! trained weights' bit patterns plus the iteration count of every solve
+//! the fit ran. A kernel or solver change that moves a single ulp of any
+//! weight — or one iteration of any solve — changes the hash.
+//!
+//! The hashes were recorded from the dense-matrix solver; the sparse
+//! design matrices must reproduce them exactly. Tests share the global
+//! obs sink (to read each solve's `SolverReport`), so a file-local lock
+//! serializes them.
+
+use selearn::prelude::*;
+use selearn_obs::{Event, MemorySink};
+use std::sync::{Arc, Mutex};
+
+static SINK_LOCK: Mutex<()> = Mutex::new(());
+
+/// FNV-1a over a stream of 64-bit words (little-endian bytes).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Runs `fit` with a memory sink installed and hashes the weights it
+/// returns together with the `iters` of every solver report it emitted.
+/// Returns the hash and the iteration counts (for the failure message).
+fn golden(fit: impl FnOnce() -> Vec<f64>) -> (u64, Vec<usize>) {
+    let _g = SINK_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let sink = Arc::new(MemorySink::new());
+    selearn_obs::set_sink(sink.clone());
+    let weights = fit();
+    selearn_obs::clear_sink();
+    let iters: Vec<usize> = sink
+        .take()
+        .into_iter()
+        .filter_map(|e| match e {
+            Event::SolverReport { iters, .. } => Some(iters),
+            _ => None,
+        })
+        .collect();
+    assert!(!iters.is_empty(), "the fit ran no solve");
+    let mut h = Fnv::new();
+    for w in &weights {
+        h.word(w.to_bits());
+    }
+    for &it in &iters {
+        h.word(it as u64);
+    }
+    (h.0, iters)
+}
+
+fn workload(n: usize, seed: u64) -> Vec<TrainingQuery> {
+    let data = power_like(20_000, 11).project(&[0, 1]);
+    let spec = WorkloadSpec::new(QueryType::Rect, CenterDistribution::DataDriven);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let w = Workload::generate(&data, &spec, n, &mut rng).unwrap();
+    to_training(&w)
+}
+
+fn check(name: &str, (got, iters): (u64, Vec<usize>), want: u64) {
+    assert_eq!(
+        got, want,
+        "{name}: trained weights or solver iterations changed (iters {iters:?}); \
+         got hash {got:#018x}, pinned {want:#018x}"
+    );
+}
+
+#[test]
+fn quadhist_bucket_target_weights_are_pinned() {
+    let train = workload(128, 1);
+    let got = golden(|| {
+        let m = QuadHist::fit_with_bucket_target(
+            Rect::unit(2),
+            &train,
+            4 * train.len(),
+            &QuadHistConfig::default(),
+        )
+        .unwrap();
+        m.buckets().into_iter().map(|(_, w)| w).collect()
+    });
+    check("quadhist", got, 0xc324_047c_bb0b_5e00);
+}
+
+#[test]
+fn ptshist_weights_are_pinned() {
+    let train = workload(128, 2);
+    let got = golden(|| {
+        let m = PtsHist::fit(
+            Rect::unit(2),
+            &train,
+            &PtsHistConfig::with_model_size(4 * train.len()),
+        )
+        .unwrap();
+        m.support().map(|(_, w)| w).collect()
+    });
+    check("ptshist", got, 0x0839_9912_bbcc_5261);
+}
+
+#[test]
+fn online_quadhist_refits_and_freeze_are_pinned() {
+    let train = workload(160, 3);
+    let got = golden(|| {
+        let mut m = OnlineQuadHist::new(Rect::unit(2), QuadHistConfig::with_tau(0.005), 64)
+            .unwrap()
+            .with_history_cap(96);
+        // 160 observations: refits after the 64th and the 128th.
+        for q in &train {
+            m.observe(q.clone()).unwrap();
+        }
+        let frozen = m.freeze().unwrap();
+        frozen.buckets().into_iter().map(|(_, w)| w).collect()
+    });
+    assert_eq!(got.1.len(), 4, "two refits, freeze's refit and its fit");
+    check("online-quadhist", got, 0x9449_8bd9_4cc2_a8f4);
+}
+
+#[test]
+fn gausshist_weights_are_pinned() {
+    let train = workload(64, 4);
+    let got = golden(|| {
+        let m = GaussHist::fit(
+            Rect::unit(2),
+            &train,
+            &GaussHistConfig::with_model_size(128),
+        )
+        .unwrap();
+        m.components().map(|(_, w)| w).collect()
+    });
+    check("gausshist", got, 0xc511_699f_f781_32f7);
+}
+
+#[test]
+fn quicksel_weights_are_pinned() {
+    let train = workload(64, 5);
+    let got = golden(|| {
+        let m = QuickSel::fit(Rect::unit(2), &train, &QuickSelConfig::default()).unwrap();
+        m.kernels().map(|(_, w)| w).collect()
+    });
+    check("quicksel", got, 0x2bcf_0d38_7d7c_6c08);
+}
+
+#[test]
+fn converging_quadhist_weights_are_pinned() {
+    // A coarse partition the solve converges on before its budget, so the
+    // pinned bits also cover FISTA's restart and stopping branches.
+    let train = workload(48, 6);
+    let got = golden(|| {
+        let m = QuadHist::fit(Rect::unit(2), &train, &QuadHistConfig::with_tau(0.2)).unwrap();
+        m.buckets().into_iter().map(|(_, w)| w).collect()
+    });
+    assert!(got.1[0] < 700, "expected convergence, ran {:?}", got.1);
+    check("quadhist-converging", got, 0x8916_7392_1b19_ae0a);
+}

@@ -68,7 +68,7 @@ fn pipeline_counters_match_serial_under_forced_parallelism() {
     let train = fixture_train();
     let cfg = QuadHistConfig::with_tau(0.01);
 
-    let snapshot = |threads: usize| -> (u64, u64, u64, u64) {
+    let snapshot = |threads: usize| -> (u64, u64, u64, u64, u64) {
         selearn_obs::reset();
         selearn_obs::enable_stats(true);
         let _model = with_threads(threads, || QuadHist::fit(Rect::unit(2), &train, &cfg));
@@ -77,6 +77,7 @@ fn pipeline_counters_match_serial_under_forced_parallelism() {
             selearn_obs::counter_get("design_matrix_entries"),
             selearn_obs::counter_get("mc_samples_drawn"),
             selearn_obs::metrics::histogram_get("fista.residual").map_or(0, |h| h.count),
+            selearn_obs::counter_get("design_matrix_nonzeros"),
         );
         selearn_obs::enable_stats(false);
         selearn_obs::reset();
@@ -87,6 +88,7 @@ fn pipeline_counters_match_serial_under_forced_parallelism() {
     let par = snapshot(4);
     assert!(ser.0 > 0, "fixture fit must split the quadtree");
     assert!(ser.3 > 0, "fixture fit must run FISTA iterations");
+    assert!(ser.4 > 0 && ser.4 < ser.1, "fixture design matrix must be sparse");
     assert_eq!(ser, par, "aggregates diverged between 1 and 4 threads");
 }
 
