@@ -140,18 +140,6 @@ impl ArrangementHist {
         })
     }
 
-    /// Compiles the model into a pointer-free [`FrozenEstimator`] with
-    /// cell boxes (or representative points) in coordinate lanes and
-    /// precomputed cell volumes. Estimates are bit-identical.
-    pub fn freeze(&self) -> crate::frozen::FrozenEstimator {
-        crate::frozen::FrozenEstimator::Arrangement(crate::frozen::FrozenArrangement::build(
-            &self.cells,
-            &self.points,
-            &self.weights,
-            self.discrete,
-        ))
-    }
-
     /// Training loss `Σ_i (ŝ(R_i) − s_i)²` of the fitted model on a
     /// workload — Lemma 3.1 says this is minimal over all histograms
     /// (resp. discrete distributions).

@@ -187,14 +187,6 @@ impl Cdf1D {
     pub fn num_knots(&self) -> usize {
         self.knots.len()
     }
-
-    /// Wraps the model in a [`FrozenEstimator`]. A fitted CDF is already
-    /// two flat `f64` arrays, so the "freeze" is a copy — the variant
-    /// exists so 1-D models ride the same frozen serving path as the
-    /// multidimensional families. Estimates are bit-identical.
-    pub fn freeze(&self) -> crate::frozen::FrozenEstimator {
-        crate::frozen::FrozenEstimator::Cdf(crate::frozen::FrozenCdf::build(self.clone()))
-    }
 }
 
 impl SelectivityEstimator for Cdf1D {

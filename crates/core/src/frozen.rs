@@ -33,10 +33,8 @@
 //! of branching. The property suite in `tests/frozen_equivalence.rs`
 //! enforces this with `to_bits()` comparisons.
 
-use crate::cdf1d::Cdf1D;
-use crate::gausshist::kernel_mass;
 use crate::quadtree::{QuadTree, ROOT};
-use selearn_geom::{normal_mass, KdTree, Point, Range, RangeQuery, Rect, VolumeEstimator, EPS};
+use selearn_geom::{KdTree, Point, Range, RangeQuery, Rect, VolumeEstimator, EPS};
 use selearn_solver::SolveReport;
 
 use crate::estimator::SelectivityEstimator;
@@ -523,224 +521,6 @@ impl FrozenPts {
 }
 
 // ---------------------------------------------------------------------------
-// FrozenGauss
-// ---------------------------------------------------------------------------
-
-/// Flattened [`crate::GaussHist`]: kernel centers in coordinate lanes for
-/// the rectangle fast path (products of 1-D normal masses), `Point` copies
-/// for halfspace / QMC masses.
-#[derive(Clone, Debug)]
-pub struct FrozenGauss {
-    dim: usize,
-    /// Center coordinates, `kernel * dim + j` lanes.
-    centers_flat: Vec<f64>,
-    centers: Vec<Point>,
-    weights: Vec<f64>,
-    sigma: f64,
-    qmc_samples: usize,
-}
-
-impl FrozenGauss {
-    pub(crate) fn build(
-        centers: &[Point],
-        weights: &[f64],
-        sigma: f64,
-        qmc_samples: usize,
-    ) -> Self {
-        let dim = centers.first().map_or(0, Point::dim);
-        let mut centers_flat = Vec::with_capacity(centers.len() * dim);
-        for c in centers {
-            centers_flat.extend_from_slice(c.coords());
-        }
-        Self {
-            dim,
-            centers_flat,
-            centers: centers.to_vec(),
-            weights: weights.to_vec(),
-            sigma,
-            qmc_samples,
-        }
-    }
-
-    fn estimate(&self, range: &Range) -> f64 {
-        // The pointer model reduces with `.sum::<f64>()`, which folds from
-        // -0.0; start there so a termless sum keeps the same zero sign.
-        let mut total = -0.0;
-        if let Range::Rect(r) = range {
-            for (i, &w) in self.weights.iter().enumerate() {
-                if w > 0.0 {
-                    let base = i * self.dim;
-                    let c = &self.centers_flat[base..base + self.dim];
-                    let mut m = 1.0;
-                    // Indexing (not zip) is deliberate: a query with more
-                    // dimensions than the model must panic exactly like
-                    // the pointer model's `center[i]` access does.
-                    #[allow(clippy::needless_range_loop)]
-                    for j in 0..r.dim() {
-                        m *= normal_mass(c[j], self.sigma, r.lo()[j], r.hi()[j]);
-                        if m == 0.0 {
-                            break;
-                        }
-                    }
-                    total += w * m;
-                }
-            }
-        } else {
-            for (c, &w) in self.centers.iter().zip(&self.weights) {
-                if w > 0.0 {
-                    total += w * kernel_mass(c, self.sigma, self.qmc_samples, range);
-                }
-            }
-        }
-        total.clamp(0.0, 1.0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FrozenArrangement
-// ---------------------------------------------------------------------------
-
-/// Flattened [`crate::ArrangementHist`]: cell boxes in coordinate lanes
-/// with precomputed volumes (histogram mode) or representative points in
-/// lanes (discrete mode).
-#[derive(Clone, Debug)]
-pub struct FrozenArrangement {
-    dim: usize,
-    discrete: bool,
-    /// Cell boxes, `cell * dim + j` lanes.
-    cell_lo: Vec<f64>,
-    cell_hi: Vec<f64>,
-    /// Precomputed cell volumes (same bits as `Rect::volume` on the cell).
-    cell_cv: Vec<f64>,
-    /// `Rect` copies for non-rectangular intersection volumes.
-    cells: Vec<Rect>,
-    /// Representative point coordinates, `cell * dim + j` (discrete mode).
-    pts_flat: Vec<f64>,
-    /// `Point` copies for non-rectangular membership (discrete mode).
-    points: Vec<Point>,
-    weights: Vec<f64>,
-    num_cells: usize,
-}
-
-impl FrozenArrangement {
-    pub(crate) fn build(
-        cells: &[Rect],
-        points: &[Point],
-        weights: &[f64],
-        discrete: bool,
-    ) -> Self {
-        let dim = cells.first().map_or(0, Rect::dim);
-        let mut cell_lo = Vec::with_capacity(cells.len() * dim);
-        let mut cell_hi = Vec::with_capacity(cells.len() * dim);
-        let mut cell_cv = Vec::with_capacity(cells.len());
-        for c in cells {
-            cell_lo.extend_from_slice(c.lo());
-            cell_hi.extend_from_slice(c.hi());
-            cell_cv.push(c.volume());
-        }
-        let mut pts_flat = Vec::with_capacity(points.len() * dim);
-        for p in points {
-            pts_flat.extend_from_slice(p.coords());
-        }
-        Self {
-            dim,
-            discrete,
-            cell_lo,
-            cell_hi,
-            cell_cv,
-            cells: cells.to_vec(),
-            pts_flat,
-            points: points.to_vec(),
-            weights: weights.to_vec(),
-            num_cells: cells.len(),
-        }
-    }
-
-    fn estimate(&self, range: &Range) -> f64 {
-        if self.weights.is_empty() {
-            // An empty `.sum::<f64>()` is -0.0 and `clamp(0.0, 1.0)`
-            // passes it through; match the pointer model's bits.
-            return -0.0;
-        }
-        // `.sum::<f64>()` folds from -0.0; mirror the fold state exactly.
-        let mut total = -0.0;
-        if self.discrete {
-            if let Range::Rect(r) = range {
-                assert_eq!(r.dim(), self.dim, "dimension mismatch");
-                let (q_lo, q_hi) = (r.lo(), r.hi());
-                'point: for (i, &w) in self.weights.iter().enumerate() {
-                    let base = i * self.dim;
-                    for j in 0..self.dim {
-                        let x = self.pts_flat[base + j];
-                        if !(q_lo[j] <= x && x <= q_hi[j]) {
-                            continue 'point;
-                        }
-                    }
-                    total += w;
-                }
-            } else {
-                for (p, &w) in self.points.iter().zip(&self.weights) {
-                    if range.contains(p) {
-                        total += w;
-                    }
-                }
-            }
-        } else if let Range::Rect(r) = range {
-            assert_eq!(r.dim(), self.dim, "dimension mismatch");
-            let (q_lo, q_hi) = (r.lo(), r.hi());
-            for (i, &w) in self.weights.iter().enumerate() {
-                let cv = self.cell_cv[i];
-                if cv <= EPS || w <= 0.0 {
-                    // The pointer model maps excluded cells to an explicit
-                    // +0.0 term; adding it keeps the fold state identical
-                    // (-0.0 + 0.0 == +0.0).
-                    total += 0.0;
-                    continue;
-                }
-                let base = i * self.dim;
-                let mut iv = 1.0;
-                for j in 0..self.dim {
-                    let l = q_lo[j].max(self.cell_lo[base + j]);
-                    let h = q_hi[j].min(self.cell_hi[base + j]);
-                    iv *= (h - l).max(0.0);
-                }
-                total += (iv / cv).clamp(0.0, 1.0) * w;
-            }
-        } else {
-            for (i, &w) in self.weights.iter().enumerate() {
-                let cv = self.cell_cv[i];
-                if cv <= EPS || w <= 0.0 {
-                    total += 0.0;
-                    continue;
-                }
-                let est = VolumeEstimator::default();
-                let frac = range.intersection_volume(&self.cells[i], &est) / cv;
-                total += frac.clamp(0.0, 1.0) * w;
-            }
-        }
-        total.clamp(0.0, 1.0)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FrozenCdf
-// ---------------------------------------------------------------------------
-
-/// Frozen [`Cdf1D`]. The source model is already two flat `f64` arrays, so
-/// freezing is a copy; the variant exists so 1-D models round-trip through
-/// the same frozen serving path as everything else.
-#[derive(Clone, Debug)]
-pub struct FrozenCdf {
-    inner: Cdf1D,
-}
-
-impl FrozenCdf {
-    pub(crate) fn build(inner: Cdf1D) -> Self {
-        Self { inner }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // FrozenEstimator
 // ---------------------------------------------------------------------------
 
@@ -754,22 +534,14 @@ pub enum FrozenEstimator {
     Quad(FrozenQuad),
     /// Frozen [`crate::PtsHist`].
     Pts(FrozenPts),
-    /// Frozen [`crate::GaussHist`].
-    Gauss(FrozenGauss),
-    /// Frozen [`crate::ArrangementHist`].
-    Arrangement(FrozenArrangement),
-    /// Frozen [`Cdf1D`].
-    Cdf(FrozenCdf),
 }
 
 impl FrozenEstimator {
-    /// The data-space box the source model was trained over, where the
-    /// model family records one (`QuadHist`, `PtsHist`).
-    pub fn root(&self) -> Option<&Rect> {
+    /// The data-space box the source model was trained over.
+    pub fn root(&self) -> &Rect {
         match self {
-            FrozenEstimator::Quad(q) => Some(q.root()),
-            FrozenEstimator::Pts(p) => Some(p.root()),
-            _ => None,
+            FrozenEstimator::Quad(q) => q.root(),
+            FrozenEstimator::Pts(p) => p.root(),
         }
     }
 }
@@ -779,9 +551,6 @@ impl SelectivityEstimator for FrozenEstimator {
         match self {
             FrozenEstimator::Quad(q) => q.estimate(range),
             FrozenEstimator::Pts(p) => p.estimate(range),
-            FrozenEstimator::Gauss(g) => g.estimate(range),
-            FrozenEstimator::Arrangement(a) => a.estimate(range),
-            FrozenEstimator::Cdf(c) => c.inner.estimate(range),
         }
     }
 
@@ -789,9 +558,6 @@ impl SelectivityEstimator for FrozenEstimator {
         match self {
             FrozenEstimator::Quad(q) => q.num_leaves,
             FrozenEstimator::Pts(p) => p.num_points,
-            FrozenEstimator::Gauss(g) => g.centers.len(),
-            FrozenEstimator::Arrangement(a) => a.num_cells,
-            FrozenEstimator::Cdf(c) => c.inner.num_buckets(),
         }
     }
 
@@ -799,15 +565,6 @@ impl SelectivityEstimator for FrozenEstimator {
         match self {
             FrozenEstimator::Quad(_) => "FrozenQuadHist",
             FrozenEstimator::Pts(_) => "FrozenPtsHist",
-            FrozenEstimator::Gauss(_) => "FrozenGaussHist",
-            FrozenEstimator::Arrangement(a) => {
-                if a.discrete {
-                    "FrozenArrangementPts"
-                } else {
-                    "FrozenArrangementHist"
-                }
-            }
-            FrozenEstimator::Cdf(_) => "FrozenCdf1D",
         }
     }
 
@@ -815,7 +572,6 @@ impl SelectivityEstimator for FrozenEstimator {
         match self {
             FrozenEstimator::Quad(q) => q.solve_report,
             FrozenEstimator::Pts(p) => p.solve_report,
-            _ => None,
         }
     }
 }

@@ -185,60 +185,44 @@ impl GaussHist {
         self.sigma
     }
 
-    /// Mass of the isotropic Gaussian at `center` inside `range`.
+    /// Mass of the isotropic Gaussian `N(center, σ²I)` inside `range`.
     fn kernel_mass(&self, center: &Point, range: &Range) -> f64 {
-        kernel_mass(center, self.sigma, self.qmc_samples, range)
-    }
-
-    /// Compiles the mixture into a pointer-free [`FrozenEstimator`] with
-    /// kernel centers in coordinate lanes. Estimates are bit-identical.
-    pub fn freeze(&self) -> crate::frozen::FrozenEstimator {
-        crate::frozen::FrozenEstimator::Gauss(crate::frozen::FrozenGauss::build(
-            &self.centers,
-            &self.weights,
-            self.sigma,
-            self.qmc_samples,
-        ))
-    }
-}
-
-/// Mass of the isotropic Gaussian `N(center, σ²I)` inside `range` — shared
-/// by [`GaussHist`] and its frozen layout so both produce identical bits.
-pub(crate) fn kernel_mass(center: &Point, sigma: f64, qmc_samples: usize, range: &Range) -> f64 {
-    match range {
-        Range::Rect(r) => {
-            let mut m = 1.0;
-            for i in 0..r.dim() {
-                m *= normal_mass(center[i], sigma, r.lo()[i], r.hi()[i]);
-                if m == 0.0 {
-                    break;
+        let sigma = self.sigma;
+        match range {
+            Range::Rect(r) => {
+                let mut m = 1.0;
+                for i in 0..r.dim() {
+                    m *= normal_mass(center[i], sigma, r.lo()[i], r.hi()[i]);
+                    if m == 0.0 {
+                        break;
+                    }
                 }
+                m
             }
-            m
-        }
-        Range::Halfspace(h) => {
-            // a·X ≥ b with X ~ N(c, σ²I): a·X ~ N(a·c, σ²‖a‖²)
-            let mu = center.dot(h.normal());
-            let norm: f64 = h.normal().iter().map(|v| v * v).sum::<f64>().sqrt();
-            std_normal_cdf((mu - h.offset()) / (sigma * norm))
-        }
-        _ => {
-            // deterministic QMC: Halton uniforms → normal samples
-            let d = center.dim();
-            let mut hits = 0usize;
-            let mut p = Point::zeros(d);
-            for n in 0..qmc_samples {
-                for (i, c) in p.coords_mut().iter_mut().enumerate() {
-                    let u = halton(n as u64 + 1, PRIMES[i % PRIMES.len()]);
-                    // clamp away from {0,1} for the quantile function
-                    let u = u.clamp(1e-12, 1.0 - 1e-12);
-                    *c = center[i] + sigma * inv_std_normal_cdf(u);
-                }
-                if range.contains(&p) {
-                    hits += 1;
-                }
+            Range::Halfspace(h) => {
+                // a·X ≥ b with X ~ N(c, σ²I): a·X ~ N(a·c, σ²‖a‖²)
+                let mu = center.dot(h.normal());
+                let norm: f64 = h.normal().iter().map(|v| v * v).sum::<f64>().sqrt();
+                std_normal_cdf((mu - h.offset()) / (sigma * norm))
             }
-            hits as f64 / qmc_samples as f64
+            _ => {
+                // deterministic QMC: Halton uniforms → normal samples
+                let d = center.dim();
+                let mut hits = 0usize;
+                let mut p = Point::zeros(d);
+                for n in 0..self.qmc_samples {
+                    for (i, c) in p.coords_mut().iter_mut().enumerate() {
+                        let u = halton(n as u64 + 1, PRIMES[i % PRIMES.len()]);
+                        // clamp away from {0,1} for the quantile function
+                        let u = u.clamp(1e-12, 1.0 - 1e-12);
+                        *c = center[i] + sigma * inv_std_normal_cdf(u);
+                    }
+                    if range.contains(&p) {
+                        hits += 1;
+                    }
+                }
+                hits as f64 / self.qmc_samples as f64
+            }
         }
     }
 }

@@ -1,9 +1,11 @@
-//! The admin plane: a std-only HTTP/1.1 listener beside the data port.
+//! The admin plane: minimal HTTP/1.1 beside the data port, served by the
+//! data port's own event loop.
 //!
 //! Serving estimates and serving *introspection* have opposite needs —
 //! the data port is a custom line protocol tuned for latency, while
-//! scrapers and orchestrators speak HTTP. [`start_admin`] binds a second
-//! listener (`--admin-addr`) with four GET endpoints:
+//! scrapers and orchestrators speak HTTP. With `ServerConfig::admin_addr`
+//! set (`--admin-addr`), the poller binds a second listening socket and
+//! answers four GET endpoints on it:
 //!
 //! | path       | body                                           | status |
 //! |------------|------------------------------------------------|--------|
@@ -15,49 +17,110 @@
 //! `/readyz` answers 503 when any of these holds: the registry has no
 //! model, the data-port queue is at capacity (admission control is
 //! shedding), the store directory stopped being writable (when one is
-//! configured), or the drift monitor has an active alarm. The JSON body
-//! names the failing check either way, so "not ready" is diagnosable
-//! from the probe response alone.
+//! configured), or the drift monitor has an active alarm. The last two
+//! come from the server's [`FeedbackSink`], which owns the store and the
+//! monitor. The JSON body names the failing check either way, so "not
+//! ready" is diagnosable from the probe response alone.
 //!
 //! The plane is deliberately minimal: GET only, `Connection: close`, one
-//! short-lived thread per connection. Scrape traffic never touches the
-//! data-port queue, workers, or cache.
+//! request per connection. An admin connection is one more entry in the
+//! poller's connection table, answered on the poller from whatever head
+//! arrived once the head ends (`\r\n\r\n` or `\n\n`), passes
+//! [`HEAD_CAP`], or outlives [`HEAD_TIMEOUT`]. It costs no thread and
+//! never touches the data-port queue, workers, or cache; the price is
+//! that a `/metrics` scrape holds data-port reads for one
+//! `expo::render()` (DESIGN.md "Telemetry plane" records its cost).
 
 use crate::cache::EstimateCache;
-use crate::drift::DriftMonitor;
+use crate::feedback::FeedbackSink;
 use crate::registry::ModelRegistry;
 use crate::server::ServeStats;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Everything the admin endpoints read. All fields are shared handles
-/// into the running server; the plane itself owns no serving state.
-pub struct AdminState {
-    /// The model registry (readiness: at least one model).
-    pub registry: Arc<ModelRegistry>,
-    /// Lifetime serving statistics (the `/stats` body).
-    pub stats: Arc<ServeStats>,
-    /// The estimate cache (hit/miss counters for `/stats`).
-    pub cache: Arc<EstimateCache>,
-    /// Reports `(depth, capacity)` of the data-port queue — readiness
-    /// degrades when depth reaches capacity. See
-    /// [`crate::server::ServerHandle::queue_probe`].
-    pub queue_depth: Box<dyn Fn() -> (usize, usize) + Send + Sync>,
-    /// The drift monitor, when feedback scoring is on (readiness: no
-    /// active alarm).
-    pub drift: Option<Arc<DriftMonitor>>,
-    /// Probes whether the store directory accepts writes, when a store is
-    /// configured. `None` skips the check.
-    pub store_writable: Option<Box<dyn Fn() -> bool + Send + Sync>>,
+/// Request heads are answered once they pass this many bytes, from what
+/// arrived; scrapers send tiny requests.
+pub(crate) const HEAD_CAP: usize = 8 * 1024;
+
+/// A connection that has not finished its head this long after accept is
+/// answered from what it sent (or closed silently if it sent nothing).
+pub(crate) const HEAD_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// `true` once `buf` holds a whole request head or has passed [`HEAD_CAP`].
+pub(crate) fn head_complete(buf: &[u8]) -> bool {
+    buf.len() > HEAD_CAP
+        || buf.windows(4).any(|w| w == b"\r\n\r\n")
+        || buf.windows(2).any(|w| w == b"\n\n")
 }
 
-impl AdminState {
-    /// Answers one admin request: `(status, content-type, body)`. Pure —
-    /// the HTTP loop and the tests both call this.
+/// What one request head asks of the admin plane.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Head {
+    /// Nothing arrived: close without a reply.
+    Empty,
+    /// Any request line that is not `GET …`: 405.
+    NotGet,
+    /// `GET <path>`, query string stripped (the endpoints take no
+    /// parameters).
+    Get(String),
+}
+
+/// Parses a (possibly partial, possibly binary) request head. Total over
+/// all byte strings: invalid UTF-8 is decoded lossily and only the first
+/// line is read.
+pub(crate) fn parse_head(buf: &[u8]) -> Head {
+    let head = String::from_utf8_lossy(buf);
+    let Some(request_line) = head.lines().next() else {
+        return Head::Empty;
+    };
+    let mut parts = request_line.split_whitespace();
+    let (method, target) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
+    if method != "GET" {
+        return Head::NotGet;
+    }
+    Head::Get(target.split('?').next().unwrap_or("").to_string())
+}
+
+/// The server state the endpoints read, borrowed by the poller for one
+/// answer.
+pub(crate) struct AdminView<'a> {
+    pub registry: &'a ModelRegistry,
+    pub stats: &'a ServeStats,
+    pub cache: &'a EstimateCache,
+    /// `(depth, capacity)` of the data-port queue.
+    pub queue: (usize, usize),
+    pub sink: Option<&'a dyn FeedbackSink>,
+}
+
+impl AdminView<'_> {
+    /// The full HTTP/1.1 response to a request head, or `None` for an
+    /// empty head (close without a reply).
+    pub fn answer(&self, head: &[u8]) -> Option<Vec<u8>> {
+        let (status, content_type, body) = match parse_head(head) {
+            Head::Empty => return None,
+            Head::NotGet => (
+                405,
+                "text/plain; charset=utf-8",
+                "method not allowed\n".to_string(),
+            ),
+            Head::Get(path) => self.respond(&path),
+        };
+        let reason = match status {
+            200 => "OK",
+            404 => "Not Found",
+            405 => "Method Not Allowed",
+            503 => "Service Unavailable",
+            _ => "Error",
+        };
+        let mut out = format!(
+            "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+            body.len()
+        )
+        .into_bytes();
+        out.extend_from_slice(body.as_bytes());
+        Some(out)
+    }
+
+    /// Answers one GET path: `(status, content-type, body)`.
     pub fn respond(&self, path: &str) -> (u16, &'static str, String) {
         match path {
             "/metrics" => (
@@ -78,14 +141,10 @@ impl AdminState {
 
     fn readyz(&self) -> (u16, &'static str, String) {
         let models = self.registry.names().len();
-        let (depth, capacity) = (self.queue_depth)();
+        let (depth, capacity) = self.queue;
         let queue_ok = depth < capacity;
-        let store_ok = self.store_writable.as_ref().map(|probe| probe());
-        let alarms = self
-            .drift
-            .as_ref()
-            .map(|d| d.alarmed())
-            .unwrap_or_default();
+        let store_ok = self.sink.and_then(|s| s.store_writable());
+        let alarms = self.sink.map(|s| s.drift_alarms()).unwrap_or_default();
         let ready = models > 0 && queue_ok && store_ok != Some(false) && alarms.is_empty();
 
         let mut body = String::with_capacity(256);
@@ -110,8 +169,8 @@ impl AdminState {
     }
 
     fn stats_json(&self) -> String {
-        let s = &self.stats;
-        let (depth, capacity) = (self.queue_depth)();
+        let s = self.stats;
+        let (depth, capacity) = self.queue;
         let mut body = format!(
             "{{\"requests\":{},\"model\":{},\"cached\":{},\"degraded\":{},\"shed\":{},\"deadline\":{},\"swap\":{},\"errors\":{},\"connections\":{},\"feedback\":{},\"cache_hits\":{},\"cache_misses\":{},\"queue\":{{\"depth\":{depth},\"capacity\":{capacity}}},\"uptime_secs\":{:.3},\"models\":[",
             s.requests(),
@@ -139,163 +198,13 @@ impl AdminState {
     }
 }
 
-/// A running admin listener. Call [`shutdown`](AdminHandle::shutdown) for
-/// a clean stop; dropping without it leaves the acceptor until process
-/// exit.
-pub struct AdminHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-impl AdminHandle {
-    /// The bound admin address (OS-assigned port resolved).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting and joins the acceptor and connection threads.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // The acceptor blocks in `accept` (no sleep-polling); a throwaway
-        // self-connection is the wake-up that makes it observe `stop`.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
-        }
-        let conns = std::mem::take(
-            &mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner),
-        );
-        for c in conns {
-            let _ = c.join();
-        }
-    }
-}
-
-/// Binds the admin listener and serves [`AdminState::respond`] over
-/// minimal HTTP/1.1. Also marks the process start for
-/// `process_uptime_seconds` (idempotent).
-pub fn start_admin(addr: &str, state: AdminState) -> std::io::Result<AdminHandle> {
-    selearn_obs::expo::mark_start();
-    // The listener stays *blocking*: the acceptor sleeps in `accept`
-    // instead of a 10ms sleep-poll loop, so probes are answered the
-    // moment they connect and an idle admin plane burns zero wakeups.
-    // Shutdown wakes it with a self-connection (see AdminHandle::shutdown).
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let state = Arc::new(state);
-
-    let acceptor = {
-        let stop = Arc::clone(&stop);
-        let conns = Arc::clone(&conns);
-        std::thread::spawn(move || loop {
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    if stop.load(Ordering::SeqCst) {
-                        return; // the shutdown self-connection (or a late probe)
-                    }
-                    let state = Arc::clone(&state);
-                    let handle = std::thread::spawn(move || serve_connection(stream, &state));
-                    let mut held = conns.lock().unwrap_or_else(PoisonError::into_inner);
-                    // Reap finished threads so a long-lived server's
-                    // handle list doesn't grow with every scrape.
-                    held.retain(|h| !h.is_finished());
-                    held.push(handle);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    if stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    // Transient accept failure (fd exhaustion etc.):
-                    // back off briefly instead of spinning.
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        })
-    };
-
-    Ok(AdminHandle {
-        addr,
-        stop,
-        acceptor: Some(acceptor),
-        conns,
-    })
-}
-
-/// Reads one request head, answers it, closes. Anything that is not a
-/// well-formed `GET <path> …` gets a 400/405 and the same close.
-fn serve_connection(mut stream: TcpStream, state: &AdminState) {
-    if stream
-        .set_read_timeout(Some(Duration::from_secs(2)))
-        .is_err()
-    {
-        return;
-    }
-    let mut buf = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 1024];
-    // Read until the end of the request head; scrapers send tiny requests
-    // so a hard 8 KiB cap is plenty.
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                if buf.windows(4).any(|w| w == b"\r\n\r\n")
-                    || buf.windows(2).any(|w| w == b"\n\n")
-                {
-                    break;
-                }
-                if buf.len() > 8 * 1024 {
-                    break;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => break,
-        }
-    }
-    let head = String::from_utf8_lossy(&buf);
-    let Some(request_line) = head.lines().next() else {
-        return;
-    };
-    let mut parts = request_line.split_whitespace();
-    let (method, target) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
-    let (status, content_type, body) = if method != "GET" {
-        (
-            405,
-            "text/plain; charset=utf-8",
-            "method not allowed\n".to_string(),
-        )
-    } else {
-        // Strip any query string; the endpoints take no parameters.
-        let path = target.split('?').next().unwrap_or("");
-        state.respond(path)
-    };
-    let reason = match status {
-        200 => "OK",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        503 => "Service Unavailable",
-        _ => "Error",
-    };
-    let header = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = stream.write_all(header.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selearn_core::SelectivityEstimator;
+    use crate::feedback::FeedbackAck;
+    use proptest::prelude::*;
+    use selearn_core::{SelearnError, SelectivityEstimator, TrainingQuery};
     use selearn_geom::{Range, Rect};
-    use std::sync::atomic::AtomicUsize;
 
     struct Constant(f64);
     impl SelectivityEstimator for Constant {
@@ -310,61 +219,116 @@ mod tests {
         }
     }
 
-    fn state_with_queue(depth: Arc<AtomicUsize>, capacity: usize) -> AdminState {
-        let registry = Arc::new(ModelRegistry::new());
-        registry.register("default", Arc::new(Constant(0.2)), Rect::unit(2));
-        AdminState {
-            registry,
-            stats: Arc::new(ServeStats::default()),
-            cache: Arc::new(EstimateCache::new(16, 2)),
-            queue_depth: Box::new(move || (depth.load(Ordering::Relaxed), capacity)),
-            drift: None,
-            store_writable: None,
+    /// A sink whose store writability and drift alarms are fixed.
+    struct Probed {
+        writable: bool,
+        alarms: Vec<String>,
+    }
+    impl FeedbackSink for Probed {
+        fn observe(&self, _feedback: TrainingQuery) -> Result<FeedbackAck, SelearnError> {
+            unreachable!("readiness never observes")
+        }
+        fn store_writable(&self) -> Option<bool> {
+            Some(self.writable)
+        }
+        fn drift_alarms(&self) -> Vec<String> {
+            self.alarms.clone()
+        }
+    }
+
+    /// Owned server state an [`AdminView`] can borrow.
+    struct Fixture {
+        registry: ModelRegistry,
+        stats: ServeStats,
+        cache: EstimateCache,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            let registry = ModelRegistry::new();
+            registry.register("default", std::sync::Arc::new(Constant(0.2)), Rect::unit(2));
+            Self {
+                registry,
+                stats: ServeStats::default(),
+                cache: EstimateCache::new(16, 2),
+            }
+        }
+
+        fn view<'a>(&'a self, queue: (usize, usize), sink: Option<&'a Probed>) -> AdminView<'a> {
+            AdminView {
+                registry: &self.registry,
+                stats: &self.stats,
+                cache: &self.cache,
+                queue,
+                sink: sink.map(|s| s as &dyn FeedbackSink),
+            }
         }
     }
 
     #[test]
     fn healthz_and_unknown_paths() {
-        let state = state_with_queue(Arc::new(AtomicUsize::new(0)), 8);
+        let f = Fixture::new();
+        let state = f.view((0, 8), None);
         assert_eq!(state.respond("/healthz").0, 200);
         assert_eq!(state.respond("/nope").0, 404);
     }
 
     #[test]
     fn readyz_flips_under_queue_saturation() {
-        let depth = Arc::new(AtomicUsize::new(0));
-        let state = state_with_queue(Arc::clone(&depth), 4);
-        let (status, _, body) = state.respond("/readyz");
+        let f = Fixture::new();
+        let (status, _, body) = f.view((0, 4), None).respond("/readyz");
         assert_eq!(status, 200, "{body}");
         assert!(body.contains("\"ready\":true"), "{body}");
 
-        depth.store(4, Ordering::Relaxed);
-        let (status, _, body) = state.respond("/readyz");
+        let (status, _, body) = f.view((4, 4), None).respond("/readyz");
         assert_eq!(status, 503, "{body}");
         assert!(body.contains("\"ready\":false"), "{body}");
         assert!(body.contains("\"depth\":4"), "{body}");
 
-        depth.store(1, Ordering::Relaxed);
-        assert_eq!(state.respond("/readyz").0, 200);
+        assert_eq!(f.view((1, 4), None).respond("/readyz").0, 200);
     }
 
     #[test]
     fn readyz_requires_a_model_and_a_writable_store() {
-        let mut state = state_with_queue(Arc::new(AtomicUsize::new(0)), 8);
-        state.registry = Arc::new(ModelRegistry::new()); // no models
-        assert_eq!(state.respond("/readyz").0, 503);
+        let mut f = Fixture::new();
+        f.registry = ModelRegistry::new(); // no models
+        assert_eq!(f.view((0, 8), None).respond("/readyz").0, 503);
 
-        let mut state = state_with_queue(Arc::new(AtomicUsize::new(0)), 8);
-        state.store_writable = Some(Box::new(|| false));
-        let (status, _, body) = state.respond("/readyz");
+        let f = Fixture::new();
+        let sink = Probed {
+            writable: false,
+            alarms: Vec::new(),
+        };
+        let (status, _, body) = f.view((0, 8), Some(&sink)).respond("/readyz");
         assert_eq!(status, 503);
         assert!(body.contains("\"store_writable\":false"), "{body}");
     }
 
     #[test]
+    fn readyz_reports_the_sinks_drift_alarms() {
+        let f = Fixture::new();
+        let sink = Probed {
+            writable: true,
+            alarms: vec!["default".to_string()],
+        };
+        let (status, _, body) = f.view((0, 8), Some(&sink)).respond("/readyz");
+        assert_eq!(status, 503);
+        assert_eq!(
+            body,
+            "{\"ready\":false,\"models\":1,\"queue\":{\"depth\":0,\"capacity\":8},\"store_writable\":true,\"drift_alarms\":[\"default\"]}\n"
+        );
+        let (status, _, body) = f.view((0, 8), None).respond("/readyz");
+        assert_eq!(status, 200);
+        assert_eq!(
+            body,
+            "{\"ready\":true,\"models\":1,\"queue\":{\"depth\":0,\"capacity\":8},\"store_writable\":null,\"drift_alarms\":[]}\n"
+        );
+    }
+
+    #[test]
     fn stats_is_valid_json_shape() {
-        let state = state_with_queue(Arc::new(AtomicUsize::new(2)), 8);
-        let (status, ct, body) = state.respond("/stats");
+        let f = Fixture::new();
+        let (status, ct, body) = f.view((2, 8), None).respond("/stats");
         assert_eq!(status, 200);
         assert_eq!(ct, "application/json");
         assert!(body.contains("\"requests\":0"), "{body}");
@@ -374,26 +338,99 @@ mod tests {
     }
 
     #[test]
-    fn http_loop_answers_over_a_real_socket() {
-        let state = state_with_queue(Arc::new(AtomicUsize::new(0)), 8);
-        let handle = start_admin("127.0.0.1:0", state).expect("bind");
-        let addr = handle.addr();
+    fn heads_parse_like_the_request_line_says() {
+        assert_eq!(parse_head(b""), Head::Empty);
+        assert_eq!(
+            parse_head(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"),
+            Head::Get("/healthz".into())
+        );
+        assert_eq!(parse_head(b"GET /stats?x=1 HTTP/1.1\r\n\r\n"), Head::Get("/stats".into()));
+        assert_eq!(parse_head(b"POST /metrics HTTP/1.1\r\n\r\n"), Head::NotGet);
+        assert_eq!(parse_head(b"\r\n\r\n"), Head::NotGet);
+        assert_eq!(parse_head(b"GET"), Head::Get(String::new()));
+        assert!(head_complete(b"GET / HTTP/1.1\n\n"));
+        assert!(head_complete(b"GET / HTTP/1.1\r\n\r\n"));
+        assert!(!head_complete(b"GET / HTTP/1.1\r\n"));
+        assert!(head_complete(&[b'x'; HEAD_CAP + 1]));
+        assert!(!head_complete(&[b'x'; HEAD_CAP]));
+    }
 
-        let fetch = |req: &str| {
-            let mut s = TcpStream::connect(addr).expect("connect");
-            s.write_all(req.as_bytes()).expect("write");
-            let mut out = String::new();
-            s.read_to_string(&mut out).expect("read");
-            out
-        };
-        let ok = fetch("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
-        assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
-        assert!(ok.ends_with("ok\n"), "{ok}");
-        let post = fetch("POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
-        assert!(post.starts_with("HTTP/1.1 405"), "{post}");
-        let missing = fetch("GET /whatever HTTP/1.1\r\n\r\n");
-        assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+    #[test]
+    fn answers_are_framed_with_connection_close() {
+        let f = Fixture::new();
+        let ok = f.view((0, 8), None).answer(b"GET /healthz HTTP/1.1\r\n\r\n");
+        let expected = b"HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: 3\r\nConnection: close\r\n\r\nok\n";
+        assert_eq!(ok.as_deref(), Some(&expected[..]));
+    }
 
-        handle.shutdown();
+    /// Request lines the fuzzer cuts up and pads: well-formed, lowercase,
+    /// non-GET, bare or whitespace-only, and one with multi-byte UTF-8 so
+    /// cuts can land inside a sequence.
+    const LINES: [&str; 9] = [
+        "GET /metrics HTTP/1.1",
+        "GET /readyz?verbose=1 HTTP/1.1",
+        "get /healthz",
+        "POST /stats HTTP/1.1",
+        "GET",
+        " \t GET  ?",
+        "",
+        "   ",
+        "GET /stats\u{e9}\u{1f600} HTTP/1.1",
+    ];
+
+    /// The bytes a client may send: arbitrary noise, request lines cut
+    /// anywhere, lines followed by noise, and heads over the cap with or
+    /// without a request line.
+    fn hostile_head() -> impl Strategy<Value = Vec<u8>> {
+        (
+            0usize..4,
+            0usize..LINES.len(),
+            0usize..48,
+            proptest::collection::vec(0u32..256, 0..64),
+        )
+            .prop_map(|(form, line, cut, noise)| {
+                let noise: Vec<u8> = noise.into_iter().map(|b| b as u8).collect();
+                let line = LINES[line].as_bytes();
+                match form {
+                    0 => noise,
+                    1 => line[..cut % (line.len() + 1)].to_vec(),
+                    2 => [line, b"\r\n", &noise].concat(),
+                    _ => [
+                        &b"\r\n".repeat(cut % 3)[..],
+                        line,
+                        &noise,
+                        &[b'A'; HEAD_CAP + 1],
+                    ]
+                    .concat(),
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Never panics; always one of the plane's framed responses, or
+        /// the silent close exactly when nothing arrived.
+        #[test]
+        fn any_head_gets_a_known_answer_or_a_silent_close(head in hostile_head()) {
+            let f = Fixture::new();
+            let view = f.view((0, 8), None);
+            let parsed = parse_head(&head);
+            let answer = view.answer(&head);
+            prop_assert_eq!(answer.is_none(), head.is_empty());
+            prop_assert_eq!(parsed == Head::Empty, head.is_empty());
+            let Some(answer) = answer else { return Ok(()) };
+            let text = String::from_utf8(answer).expect("responses are UTF-8");
+            let (header, body) = text.split_once("\r\n\r\n").expect("header terminator");
+            let expected = match parsed {
+                Head::Empty => unreachable!(),
+                Head::NotGet => "HTTP/1.1 405 Method Not Allowed",
+                Head::Get(ref p) if p == "/metrics" || p == "/healthz" || p == "/readyz" || p == "/stats" => "HTTP/1.1 200 OK",
+                Head::Get(_) => "HTTP/1.1 404 Not Found",
+            };
+            prop_assert!(header.starts_with(expected), "{} for {:?}", header, parsed);
+            let length = format!("\r\nContent-Length: {}\r\nConnection: close", body.len());
+            prop_assert!(header.contains(&length), "{}", header);
+        }
     }
 }

@@ -16,6 +16,8 @@
 //! percentiles and throughput; exits 1 when any response was a
 //! protocol-level error (or the run died early).
 
+mod common;
+
 use selearn_serve::{run_load, LoadOptions, Request};
 
 const USAGE: &str = "usage: selearn-load --addr HOST:PORT \
@@ -23,20 +25,17 @@ const USAGE: &str = "usage: selearn-load --addr HOST:PORT \
 [--rate RPS] [--pool N] [--tenants N] [--allow-errors]";
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let addr = take_flag_value(&mut args, "--addr");
-    let workload = take_flag_value(&mut args, "--workload");
-    let synthetic = take_flag_value(&mut args, "--synthetic");
-    let requests = parse_num::<usize>(take_flag_value(&mut args, "--requests"), "--requests");
-    let conns = parse_num::<usize>(take_flag_value(&mut args, "--conns"), "--conns");
-    let rate = parse_num::<f64>(take_flag_value(&mut args, "--rate"), "--rate");
-    let pool = parse_num::<usize>(take_flag_value(&mut args, "--pool"), "--pool");
-    let tenants = parse_num::<usize>(take_flag_value(&mut args, "--tenants"), "--tenants");
-    let allow_errors = take_flag(&mut args, "--allow-errors");
-    if !args.is_empty() {
-        eprintln!("unknown arguments: {args:?}\n{USAGE}");
-        std::process::exit(2);
-    }
+    let mut args = common::Args::from_env(USAGE);
+    let addr = args.value("--addr");
+    let workload = args.value("--workload");
+    let synthetic = args.value("--synthetic");
+    let requests = args.num::<usize>("--requests");
+    let conns = args.num::<usize>("--conns");
+    let rate = args.num::<f64>("--rate");
+    let pool = args.num::<usize>("--pool");
+    let tenants = args.num::<usize>("--tenants");
+    let allow_errors = args.flag("--allow-errors");
+    args.finish();
     let Some(addr) = addr else {
         eprintln!("--addr is required\n{USAGE}");
         std::process::exit(2);
@@ -52,13 +51,7 @@ fn main() {
             }
         },
         (None, Some(dim)) => {
-            let dim: usize = match dim.parse() {
-                Ok(d) if (1..=6).contains(&d) => d,
-                _ => {
-                    eprintln!("--synthetic DIM must be an integer in 1..=6");
-                    std::process::exit(2);
-                }
-            };
+            let dim = common::synthetic_dim(&dim);
             selearn_serve::synth::synthetic_requests(dim, pool_size, 23)
         }
         _ => {
@@ -109,35 +102,4 @@ fn load_workload(path: &str) -> Result<Vec<Request>, String> {
             selearn_serve::parse_request(line).map_err(|e| format!("line {}: {e}", i + 1))
         })
         .collect()
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(pos) => {
-            args.remove(pos);
-            true
-        }
-        None => false,
-    }
-}
-
-fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("{flag} requires an argument\n{USAGE}");
-        std::process::exit(2);
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn parse_num<T: std::str::FromStr>(value: Option<String>, flag: &str) -> Option<T> {
-    value.map(|v| match v.parse() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("{flag} requires a number, got {v:?}");
-            std::process::exit(2);
-        }
-    })
 }

@@ -24,9 +24,10 @@
 //! tail replay) and prints a machine-readable `{"recovered":…}` line;
 //! `--rollback GEN` rewinds to a retained generation before serving.
 
+mod common;
+
 use selearn_serve::{
-    start_admin, start_with_feedback, AdminState, DriftConfig, DriftMonitor, DurableFeedback,
-    FeedbackSink, ServerConfig,
+    start_with_feedback, DriftConfig, DriftMonitor, DurableFeedback, FeedbackSink, ServerConfig,
 };
 use selearn_store::{ModelStore, StoreConfig};
 use std::sync::Arc;
@@ -40,58 +41,30 @@ const USAGE: &str = "usage: selearn-serve (--model FILE | --synthetic DIM) \
 [--drift-windows K] [--drift-window-size N]";
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let model_path = take_flag_value(&mut args, "--model");
-    let synthetic = take_flag_value(&mut args, "--synthetic");
-    let addr = take_flag_value(&mut args, "--addr");
-    let admin_addr = take_flag_value(&mut args, "--admin-addr");
-    let workers = parse_num::<usize>(take_flag_value(&mut args, "--workers"), "--workers");
-    let queue = parse_num::<usize>(take_flag_value(&mut args, "--queue"), "--queue");
-    let cache_capacity = parse_num::<usize>(
-        take_flag_value(&mut args, "--cache-capacity"),
-        "--cache-capacity",
-    );
-    let cache_grid = parse_num::<u32>(take_flag_value(&mut args, "--cache-grid"), "--cache-grid");
-    let deadline_ms =
-        parse_num::<u64>(take_flag_value(&mut args, "--deadline-ms"), "--deadline-ms");
-    let run_secs = parse_num::<u64>(take_flag_value(&mut args, "--run-secs"), "--run-secs");
-    let synthetic_tenants = parse_num::<usize>(
-        take_flag_value(&mut args, "--synthetic-tenants"),
-        "--synthetic-tenants",
-    );
-    let tenant_rps = parse_num::<f64>(take_flag_value(&mut args, "--tenant-rps"), "--tenant-rps");
-    let tenant_burst = parse_num::<f64>(
-        take_flag_value(&mut args, "--tenant-burst"),
-        "--tenant-burst",
-    );
-    let stats = take_flag(&mut args, "--stats");
-    let trace_out = take_flag_value(&mut args, "--trace-out");
-    let trace_sample_rate = parse_num::<u64>(
-        take_flag_value(&mut args, "--trace-sample-rate"),
-        "--trace-sample-rate",
-    );
-    let store_dir = take_flag_value(&mut args, "--store-dir");
-    let checkpoint_every = parse_num::<u64>(
-        take_flag_value(&mut args, "--checkpoint-every"),
-        "--checkpoint-every",
-    );
-    let rollback = parse_num::<u64>(take_flag_value(&mut args, "--rollback"), "--rollback");
-    let drift_threshold = parse_num::<f64>(
-        take_flag_value(&mut args, "--drift-threshold"),
-        "--drift-threshold",
-    );
-    let drift_windows = parse_num::<u32>(
-        take_flag_value(&mut args, "--drift-windows"),
-        "--drift-windows",
-    );
-    let drift_window_size = parse_num::<usize>(
-        take_flag_value(&mut args, "--drift-window-size"),
-        "--drift-window-size",
-    );
-    if !args.is_empty() {
-        eprintln!("unknown arguments: {args:?}\n{USAGE}");
-        std::process::exit(2);
-    }
+    let mut args = common::Args::from_env(USAGE);
+    let model_path = args.value("--model");
+    let synthetic = args.value("--synthetic");
+    let addr = args.value("--addr");
+    let admin_addr = args.value("--admin-addr");
+    let workers = args.num::<usize>("--workers");
+    let queue = args.num::<usize>("--queue");
+    let cache_capacity = args.num::<usize>("--cache-capacity");
+    let cache_grid = args.num::<u32>("--cache-grid");
+    let deadline_ms = args.num::<u64>("--deadline-ms");
+    let run_secs = args.num::<u64>("--run-secs");
+    let synthetic_tenants = args.num::<usize>("--synthetic-tenants");
+    let tenant_rps = args.num::<f64>("--tenant-rps");
+    let tenant_burst = args.num::<f64>("--tenant-burst");
+    let stats = args.flag("--stats");
+    let trace_out = args.value("--trace-out");
+    let trace_sample_rate = args.num::<u64>("--trace-sample-rate");
+    let store_dir = args.value("--store-dir");
+    let checkpoint_every = args.num::<u64>("--checkpoint-every");
+    let rollback = args.num::<u64>("--rollback");
+    let drift_threshold = args.num::<f64>("--drift-threshold");
+    let drift_windows = args.num::<u32>("--drift-windows");
+    let drift_window_size = args.num::<usize>("--drift-window-size");
+    args.finish();
 
     // The admin plane scrapes the metric registries, so it implies stats.
     if stats || trace_out.is_some() || admin_addr.is_some() {
@@ -115,10 +88,7 @@ fn main() {
                 // serving hot path never walks a pointer tree.
                 match selearn_core::load_frozen(std::io::BufReader::new(file)) {
                     Ok(m) => {
-                        let Some(root) = m.root().cloned() else {
-                            eprintln!("model {path} has no query domain");
-                            std::process::exit(2);
-                        };
+                        let root = m.root().clone();
                         (Arc::new(m), root)
                     }
                     Err(e) => {
@@ -128,13 +98,7 @@ fn main() {
                 }
             }
             (None, Some(dim)) => {
-                let dim: usize = match dim.parse() {
-                    Ok(d) if (1..=6).contains(&d) => d,
-                    _ => {
-                        eprintln!("--synthetic DIM must be an integer in 1..=6");
-                        std::process::exit(2);
-                    }
-                };
+                let dim = common::synthetic_dim(&dim);
                 match selearn_serve::synth::synthetic_model(dim, 400, 17) {
                     Ok((m, root)) => (Arc::new(m.freeze()), root),
                     Err(e) => {
@@ -149,7 +113,10 @@ fn main() {
             }
         };
 
-    let mut config = ServerConfig::default();
+    let mut config = ServerConfig {
+        admin_addr,
+        ..ServerConfig::default()
+    };
     if let Some(addr) = addr {
         config.addr = addr;
     }
@@ -239,8 +206,8 @@ fn main() {
     }
 
     // With a store, every WAL-acked feedback record is scored against the
-    // currently served model; the monitor's alarm feeds /readyz.
-    let mut drift: Option<Arc<DriftMonitor>> = None;
+    // currently served model; the monitor's alarm feeds /readyz through
+    // the sink.
     if let Some(durable) = &durable {
         let mut drift_config = DriftConfig::default();
         if let Some(t) = drift_threshold {
@@ -253,8 +220,7 @@ fn main() {
             drift_config.window = w;
         }
         let monitor = Arc::new(DriftMonitor::new(drift_config, Arc::clone(&registry)));
-        durable.attach_drift(Arc::clone(&monitor));
-        drift = Some(monitor);
+        durable.attach_drift(monitor);
     }
 
     // Multi-tenant smoke mode: register N namespaced handles to the same
@@ -277,38 +243,10 @@ fn main() {
             std::process::exit(1);
         }
     };
-    // Machine-readable startup line: scripts scrape the bound address.
+    // Machine-readable startup lines: scripts scrape the bound addresses.
     println!("{{\"listening\":\"{}\"}}", handle.addr());
-
-    let mut admin = None;
-    if let Some(admin_bind) = &admin_addr {
-        let store_writable = store_dir.as_ref().map(|dir| {
-            let dir = std::path::PathBuf::from(dir);
-            Box::new(move || {
-                let probe = dir.join(".writable-probe");
-                let ok = std::fs::write(&probe, b"probe").is_ok();
-                let _ = std::fs::remove_file(&probe);
-                ok
-            }) as Box<dyn Fn() -> bool + Send + Sync>
-        });
-        let state = AdminState {
-            registry: Arc::clone(handle.registry()),
-            stats: Arc::clone(handle.stats()),
-            cache: Arc::clone(handle.cache()),
-            queue_depth: handle.queue_probe(),
-            drift: drift.clone(),
-            store_writable,
-        };
-        match start_admin(admin_bind, state) {
-            Ok(h) => {
-                println!("{{\"admin\":\"{}\"}}", h.addr());
-                admin = Some(h);
-            }
-            Err(e) => {
-                eprintln!("cannot start admin listener on {admin_bind}: {e}");
-                std::process::exit(1);
-            }
-        }
+    if let Some(admin) = handle.admin_addr() {
+        println!("{{\"admin\":\"{admin}\"}}");
     }
 
     match run_secs {
@@ -318,9 +256,6 @@ fn main() {
             std::thread::sleep(std::time::Duration::from_secs(secs));
             let stats_snapshot = Arc::clone(handle.stats());
             let (hits, misses) = (handle.cache().hits(), handle.cache().misses());
-            if let Some(admin) = admin.take() {
-                admin.shutdown();
-            }
             handle.shutdown();
             // Park the tail of the feedback stream in a final checkpoint
             // so the next start replays nothing.
@@ -348,37 +283,6 @@ fn main() {
             std::thread::sleep(std::time::Duration::from_secs(3600));
         },
     }
-}
-
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(pos) => {
-            args.remove(pos);
-            true
-        }
-        None => false,
-    }
-}
-
-fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let pos = args.iter().position(|a| a == flag)?;
-    if pos + 1 >= args.len() {
-        eprintln!("{flag} requires an argument\n{USAGE}");
-        std::process::exit(2);
-    }
-    let value = args.remove(pos + 1);
-    args.remove(pos);
-    Some(value)
-}
-
-fn parse_num<T: std::str::FromStr>(value: Option<String>, flag: &str) -> Option<T> {
-    value.map(|v| match v.parse() {
-        Ok(n) => n,
-        Err(_) => {
-            eprintln!("{flag} requires a number, got {v:?}");
-            std::process::exit(2);
-        }
-    })
 }
 
 #[cfg(feature = "obs-jsonl")]

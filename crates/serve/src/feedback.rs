@@ -20,9 +20,11 @@
 //!   and the failure is parked in [`DurableFeedback::take_error`] and the
 //!   `serve.feedback_checkpoint_errors` counter instead.
 
+use crate::drift::DriftMonitor;
 use crate::registry::ModelRegistry;
 use selearn_core::{SelearnError, SharedEstimator, TrainingQuery};
 use selearn_store::ModelStore;
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// What a sink reports back for one accepted feedback record.
@@ -43,6 +45,18 @@ pub trait FeedbackSink: Send + Sync {
     /// Ingests one observation. `Ok` means the record is durable and the
     /// returned LSN may be handed to the client as an acknowledgement.
     fn observe(&self, feedback: TrainingQuery) -> Result<FeedbackAck, SelearnError>;
+
+    /// Whether the sink's store directory accepts writes, for `/readyz`.
+    /// `None` (the default) means the sink has no store to check.
+    fn store_writable(&self) -> Option<bool> {
+        None
+    }
+
+    /// Models whose drift alarm is active, for `/readyz`. Empty (the
+    /// default) when no drift monitor is attached.
+    fn drift_alarms(&self) -> Vec<String> {
+        Vec::new()
+    }
 }
 
 /// The production [`FeedbackSink`]: a mutex-serialized [`ModelStore`]
@@ -50,10 +64,14 @@ pub trait FeedbackSink: Send + Sync {
 /// docs for the failure policy.
 pub struct DurableFeedback {
     store: Mutex<ModelStore>,
+    /// The store's directory, probed for writability without taking the
+    /// store lock (a refit may hold it for a while).
+    dir: PathBuf,
     registry: Arc<ModelRegistry>,
     model_name: String,
     checkpoint_every: u64,
     last_error: Mutex<Option<SelearnError>>,
+    drift: Mutex<Option<Arc<DriftMonitor>>>,
 }
 
 impl DurableFeedback {
@@ -69,11 +87,13 @@ impl DurableFeedback {
         checkpoint_every: u64,
     ) -> Self {
         Self {
+            dir: store.dir().to_path_buf(),
             store: Mutex::new(store),
             registry,
             model_name: model_name.to_string(),
             checkpoint_every,
             last_error: Mutex::new(None),
+            drift: Mutex::new(None),
         }
     }
 
@@ -95,13 +115,16 @@ impl DurableFeedback {
     /// Routes every WAL-acked record through `monitor` before it reaches
     /// the online model: the store's observe hook fires at the ack point,
     /// so the monitor scores exactly what was durably acknowledged,
-    /// against the model the fleet was serving at that moment.
-    pub fn attach_drift(&self, monitor: Arc<crate::drift::DriftMonitor>) {
+    /// against the model the fleet was serving at that moment. The
+    /// monitor's alarms also feed [`FeedbackSink::drift_alarms`].
+    pub fn attach_drift(&self, monitor: Arc<DriftMonitor>) {
         let name = self.model_name.clone();
+        let scorer = Arc::clone(&monitor);
         self.store()
             .set_observe_hook(Box::new(move |_lsn, feedback| {
-                monitor.score(&name, feedback);
+                scorer.score(&name, feedback);
             }));
+        *self.drift.lock().unwrap_or_else(PoisonError::into_inner) = Some(monitor);
     }
 
     /// Takes the most recent post-ack failure (checkpoint or freeze), if
@@ -161,6 +184,23 @@ impl FeedbackSink for DurableFeedback {
             generation: store.generation(),
             swapped,
         })
+    }
+
+    /// Writes and removes a `.writable-probe` file in the store directory.
+    fn store_writable(&self) -> Option<bool> {
+        let probe = self.dir.join(".writable-probe");
+        let ok = std::fs::write(&probe, b"probe").is_ok();
+        let _ = std::fs::remove_file(&probe);
+        Some(ok)
+    }
+
+    fn drift_alarms(&self) -> Vec<String> {
+        self.drift
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .map(|d| d.alarmed())
+            .unwrap_or_default()
     }
 }
 
@@ -251,6 +291,17 @@ mod tests {
         let ack = sink.observe(feedback(1)).expect("next good record");
         assert_eq!(ack.lsn, 2, "the reject must not burn an LSN");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn readiness_probes_watch_the_store_directory() {
+        let dir = tmp_dir("ready");
+        let store = ModelStore::open(&dir, config()).expect("open");
+        let sink = DurableFeedback::new(store, Arc::new(ModelRegistry::new()), "default", 0);
+        assert_eq!(sink.store_writable(), Some(true));
+        assert!(sink.drift_alarms().is_empty(), "no monitor attached");
+        std::fs::remove_dir_all(&dir).expect("remove store dir");
+        assert_eq!(sink.store_writable(), Some(false));
     }
 
     #[test]

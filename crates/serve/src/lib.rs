@@ -28,9 +28,10 @@
 //!   online model back into the registry.
 //! * **Load generation** ([`client`]) — closed- and open-loop replay with
 //!   client-observed latency percentiles, driving the `selearn-load` bin.
-//! * **Admin plane** ([`admin`]) — a std-only HTTP listener beside the
-//!   data port: `/metrics` (Prometheus exposition), `/healthz`, `/readyz`
-//!   (queue, store, and drift-aware readiness), `/stats`.
+//! * **Admin plane** ([`ServerConfig::admin_addr`]) — a std-only HTTP
+//!   listener beside the data port, served by the same event loop:
+//!   `/metrics` (Prometheus exposition), `/healthz`, `/readyz` (queue,
+//!   store, and drift-aware readiness), `/stats`.
 //! * **Drift monitor** ([`drift`]) — every WAL-acked feedback record is
 //!   scored against the currently served model into rolling q-error
 //!   windows; sustained breaches raise a scrapeable alarm.
@@ -51,7 +52,7 @@
 // (clippy.toml exempts #[cfg(test)]); CI runs clippy with -D warnings.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod admin;
+mod admin;
 pub mod cache;
 pub mod client;
 pub mod drift;
@@ -64,7 +65,6 @@ pub mod registry;
 pub mod server;
 pub mod synth;
 
-pub use admin::{start_admin, AdminHandle, AdminState};
 pub use cache::{CacheKey, EstimateCache};
 pub use drift::{DriftConfig, DriftMonitor, DriftStatus};
 pub use client::{parse_response, run_load, Client, LoadOptions, LoadReport};

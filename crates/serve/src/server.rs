@@ -11,6 +11,7 @@
 //!            │          POLLOUT re-arm ◀── ConnWriter (per-conn   worker (×N)
 //!            │                              nonblocking write        │
 //!            └──────────────▲ waker ◀───────  buffer)  ◀── response ─┘
+//!    admin ──▶ accept ─▶ head buf ─▶ answer on the poller ─▶ ConnWriter
 //! ```
 //!
 //! * The **poller** is a single thread owning the listener, a wake-up
@@ -19,6 +20,9 @@
 //!   per-connection byte buffer, split on `\n` across partial reads.
 //!   Idle connections cost one `pollfd` entry and their buffers — no
 //!   thread, no timer, no wakeups.
+//! * With [`ServerConfig::admin_addr`] set, the poller also owns the
+//!   **admin listener**: each admin connection's HTTP request is answered
+//!   on the poller through its [`ConnWriter`] — no queue, no worker.
 //! * **Admission happens on the poller**: each complete line is parsed
 //!   once, its model slot resolved, and its tenant's token bucket
 //!   consulted. Over-quota requests answer the uniform fallback with
@@ -49,6 +53,7 @@
 //! model/cache answers. Per-tenant request and quota-shed counters ride
 //! on labeled series (`serve.tenant_requests{tenant="…"}`).
 
+use crate::admin::{self, AdminView};
 use crate::cache::{CacheKey, EstimateCache};
 use crate::feedback::FeedbackSink;
 use crate::poller::{poll, wake_pair, PollFd, Waker, POLLIN, POLLOUT};
@@ -104,6 +109,10 @@ pub struct ServerConfig {
     /// (0 disables sampling). Sampled requests emit `trace` events at
     /// each pipeline stage, all sharing one trace id.
     pub trace_sample_every: u64,
+    /// Bind address of the HTTP admin plane (`/metrics`, `/healthz`,
+    /// `/readyz`, `/stats`), served by the same poller; `None` serves
+    /// none.
+    pub admin_addr: Option<String>,
 }
 
 impl Default for ServerConfig {
@@ -121,6 +130,7 @@ impl Default for ServerConfig {
             tenant_quota_rps: 0.0,
             tenant_quota_burst: 64.0,
             trace_sample_every: 0,
+            admin_addr: None,
         }
     }
 }
@@ -349,9 +359,10 @@ enum JobKind {
 /// behind the rest of its batch.
 const MAX_WORKER_BATCH: usize = 64;
 
-/// Poll timeout: the gauge-tick and shutdown-responsiveness granularity.
-/// Idle connections sleep in the kernel — this only bounds how stale the
-/// once-a-second QPS gauge can go.
+/// Poll timeout: the gauge-tick, admin head-budget and
+/// shutdown-responsiveness granularity. Idle connections sleep in the
+/// kernel — this only bounds how stale the once-a-second QPS gauge can
+/// go and how late past its 2 s budget a stalled admin head is answered.
 const POLL_TICK_MS: i32 = 250;
 
 /// How long shutdown keeps flushing pending response bytes to slow
@@ -376,25 +387,42 @@ enum Prepared {
 
 /// Everything the poller thread needs, bundled once.
 struct PollerShared {
+    listener: TcpListener,
+    admin_listener: Option<TcpListener>,
     stop: Arc<AtomicBool>,
     drain: Arc<AtomicBool>,
     queue: Arc<BoundedQueue<Job>>,
     registry: Arc<ModelRegistry>,
     stats: Arc<ServeStats>,
+    /// Read by the admin plane's `/stats`.
+    cache: Arc<EstimateCache>,
+    /// Read by the admin plane's `/readyz` (store, drift).
+    sink: Option<Arc<dyn FeedbackSink>>,
     waker: Arc<Waker>,
     open_connections: Arc<AtomicUsize>,
     config: ServerConfig,
 }
 
 /// One live connection as the poller sees it: the read half, the shared
-/// write half, and the partial-line buffer.
+/// write half, and the partial-line (or request-head) buffer.
 struct Conn {
     stream: TcpStream,
     writer: Arc<ConnWriter>,
     buf: Vec<u8>,
-    /// The client sent EOF (or errored); keep the entry only while
-    /// pending response bytes remain to flush.
+    /// The client sent EOF (or errored), or an admin request was
+    /// answered; keep the entry only while pending response bytes remain
+    /// to flush.
     read_closed: bool,
+    kind: ConnKind,
+}
+
+/// Which listener a connection came from.
+#[derive(Clone, Copy)]
+enum ConnKind {
+    /// Data port: newline-delimited requests.
+    Line,
+    /// Admin port: one HTTP request head, accepted at this instant.
+    Http(Instant),
 }
 
 /// A running server. Dropping the handle without calling
@@ -402,6 +430,7 @@ struct Conn {
 /// process exit — call it for a clean stop.
 pub struct ServerHandle {
     addr: SocketAddr,
+    admin_addr: Option<SocketAddr>,
     registry: Arc<ModelRegistry>,
     cache: Arc<EstimateCache>,
     stats: Arc<ServeStats>,
@@ -420,6 +449,12 @@ impl ServerHandle {
         self.addr
     }
 
+    /// The bound admin-plane address, when [`ServerConfig::admin_addr`]
+    /// was set.
+    pub fn admin_addr(&self) -> Option<SocketAddr> {
+        self.admin_addr
+    }
+
     /// The model registry — hot-swap through this while serving.
     pub fn registry(&self) -> &Arc<ModelRegistry> {
         &self.registry
@@ -435,15 +470,15 @@ impl ServerHandle {
         &self.stats
     }
 
-    /// Connections currently held by the poller (advisory; updated once
-    /// per poll iteration).
+    /// Data-port connections currently held by the poller (advisory;
+    /// updated once per poll iteration).
     pub fn open_connections(&self) -> usize {
         self.open_connections.load(Ordering::Relaxed)
     }
 
     /// A closure reporting `(depth, capacity)` of the request queue —
-    /// how the admin plane's `/readyz` watches admission control without
-    /// the (private) job type escaping this module.
+    /// how callers watch admission control without the (private) job
+    /// type escaping this module.
     pub fn queue_probe(&self) -> Box<dyn Fn() -> (usize, usize) + Send + Sync> {
         let queue = Arc::clone(&self.queue);
         Box::new(move || (queue.len(), queue.capacity()))
@@ -486,9 +521,16 @@ pub fn start_with_feedback(
     registry: Arc<ModelRegistry>,
     sink: Option<Arc<dyn FeedbackSink>>,
 ) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
+    let listener = bind_nonblocking(&config.addr)?;
     let addr = listener.local_addr()?;
+    let admin_listener = config.admin_addr.as_deref().map(bind_nonblocking).transpose()?;
+    let admin_addr = admin_listener
+        .as_ref()
+        .map(TcpListener::local_addr)
+        .transpose()?;
+    if admin_addr.is_some() {
+        selearn_obs::expo::mark_start(); // `process_uptime_seconds` counts from here
+    }
     let (waker, wake_rx) = wake_pair()?;
     let waker = Arc::new(waker);
 
@@ -521,20 +563,25 @@ pub fn start_with_feedback(
 
     let poller = {
         let shared = PollerShared {
+            listener,
+            admin_listener,
             stop: Arc::clone(&stop),
             drain: Arc::clone(&drain),
             queue: Arc::clone(&queue),
             registry: Arc::clone(&registry),
             stats: Arc::clone(&stats),
+            cache: Arc::clone(&cache),
+            sink,
             waker: Arc::clone(&waker),
             open_connections: Arc::clone(&open_connections),
             config: config.clone(),
         };
-        std::thread::spawn(move || poller_loop(&listener, wake_rx, &shared))
+        std::thread::spawn(move || poller_loop(wake_rx, &shared))
     };
 
     Ok(ServerHandle {
         addr,
+        admin_addr,
         registry,
         cache,
         stats,
@@ -548,12 +595,21 @@ pub fn start_with_feedback(
     })
 }
 
+/// Binds a nonblocking listener; a bind failure names the address.
+fn bind_nonblocking(addr: &str) -> std::io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)
+        .map_err(|e| std::io::Error::new(e.kind(), format!("bind {addr}: {e}")))?;
+    listener.set_nonblocking(true)?;
+    Ok(listener)
+}
+
 /// The event loop: one thread, every socket. Each iteration rebuilds the
-/// poll set (wake socket, listener, one entry per connection with
+/// poll set (wake socket, listeners, one entry per connection with
 /// `POLLOUT` armed only where pending bytes wait), sleeps in `poll`,
 /// then dispatches readiness: accept-drain, per-connection read-drain
-/// with line splitting + admission, and write-buffer flushes.
-fn poller_loop(listener: &TcpListener, mut wake_rx: TcpStream, sh: &PollerShared) {
+/// with line splitting + admission (or head collection + answer on an
+/// admin connection), and write-buffer flushes.
+fn poller_loop(mut wake_rx: TcpStream, sh: &PollerShared) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut chunk = vec![0u8; 16 * 1024];
@@ -579,18 +635,19 @@ fn poller_loop(listener: &TcpListener, mut wake_rx: TcpStream, sh: &PollerShared
                 }
             }
         }
-        sh.open_connections.store(conns.len(), Ordering::Relaxed);
 
         fds.clear();
         fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
-        let listener_idx = if stopping {
-            None
-        } else {
-            fds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-            Some(fds.len() - 1)
-        };
+        if !stopping {
+            fds.push(PollFd::new(sh.listener.as_raw_fd(), POLLIN));
+            if let Some(l) = &sh.admin_listener {
+                fds.push(PollFd::new(l.as_raw_fd(), POLLIN));
+            }
+        }
         let conn_base = fds.len();
+        let mut data_conns = 0;
         for c in &conns {
+            data_conns += usize::from(matches!(c.kind, ConnKind::Line));
             let mut interest = 0i16;
             if !stopping && !c.read_closed {
                 interest |= POLLIN;
@@ -600,6 +657,7 @@ fn poller_loop(listener: &TcpListener, mut wake_rx: TcpStream, sh: &PollerShared
             }
             fds.push(PollFd::new(c.stream.as_raw_fd(), interest));
         }
+        sh.open_connections.store(data_conns, Ordering::Relaxed);
 
         if poll(&mut fds, POLL_TICK_MS).is_err() {
             // Transient poll failure (e.g. fd-table churn): back off a
@@ -619,14 +677,19 @@ fn poller_loop(listener: &TcpListener, mut wake_rx: TcpStream, sh: &PollerShared
             let qps = (now - last_count) as f64 / tick.as_secs_f64();
             selearn_obs::gauge_set("serve.qps", qps);
             selearn_obs::gauge_set("serve.queue_depth", sh.queue.len() as f64);
-            selearn_obs::gauge_set("serve.open_connections", conns.len() as f64);
+            selearn_obs::gauge_set("serve.open_connections", data_conns as f64);
             last_count = now;
             last_tick = Instant::now();
         }
 
-        if let Some(i) = listener_idx {
-            if fds[i].readable() {
-                accept_ready(listener, &mut conns, sh);
+        if !stopping {
+            if fds[1].readable() {
+                accept_ready(&sh.listener, false, &mut conns, sh);
+            }
+            if let Some(l) = &sh.admin_listener {
+                if fds[2].readable() {
+                    accept_ready(l, true, &mut conns, sh);
+                }
             }
         }
 
@@ -637,16 +700,29 @@ fn poller_loop(listener: &TcpListener, mut wake_rx: TcpStream, sh: &PollerShared
             if pf.writable() {
                 c.writer.flush();
             }
-            if pf.readable() && !stopping && !c.read_closed && !read_ready(c, &mut chunk, sh) {
-                c.read_closed = true;
+            if stopping || c.read_closed {
+                continue;
+            }
+            let done = pf.readable() && !read_ready(c, &mut chunk, sh);
+            match c.kind {
+                ConnKind::Line => c.read_closed = done,
+                // An admin head is answered once complete or the client
+                // stops, or when its budget runs out (checked every
+                // iteration, so at least once per poll tick).
+                ConnKind::Http(accepted) => {
+                    if done || accepted.elapsed() >= admin::HEAD_TIMEOUT {
+                        answer_admin(c, sh);
+                    }
+                }
             }
         }
     }
 }
 
-/// Accept-drains the listener: every pending connection is registered
-/// nonblocking with a fresh [`ConnWriter`].
-fn accept_ready(listener: &TcpListener, conns: &mut Vec<Conn>, sh: &PollerShared) {
+/// Accept-drains a listener: every pending connection is registered
+/// nonblocking with a fresh [`ConnWriter`]. Admin connections are not
+/// counted as data-port connections.
+fn accept_ready(listener: &TcpListener, admin: bool, conns: &mut Vec<Conn>, sh: &PollerShared) {
     loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -657,8 +733,13 @@ fn accept_ready(listener: &TcpListener, conns: &mut Vec<Conn>, sh: &PollerShared
                     Ok(w) => w,
                     Err(_) => continue,
                 };
-                sh.stats.connections.fetch_add(1, Ordering::Relaxed);
-                selearn_obs::counter_add("serve.connections", 1);
+                let kind = if admin {
+                    ConnKind::Http(Instant::now())
+                } else {
+                    sh.stats.connections.fetch_add(1, Ordering::Relaxed);
+                    selearn_obs::counter_add("serve.connections", 1);
+                    ConnKind::Line
+                };
                 conns.push(Conn {
                     stream,
                     writer: Arc::new(ConnWriter::new(
@@ -669,6 +750,7 @@ fn accept_ready(listener: &TcpListener, conns: &mut Vec<Conn>, sh: &PollerShared
                     )),
                     buf: Vec::new(),
                     read_closed: false,
+                    kind,
                 });
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -678,15 +760,22 @@ fn accept_ready(listener: &TcpListener, conns: &mut Vec<Conn>, sh: &PollerShared
     }
 }
 
-/// Read-drains one connection: nonblocking reads into its line buffer,
-/// admitting every complete line. Returns `false` when the connection is
-/// done (EOF, error, overlong line).
+/// Read-drains one connection: nonblocking reads into its buffer,
+/// admitting every complete line (an admin connection only collects its
+/// request head). Returns `false` when the connection is done reading
+/// (EOF, error, overlong line, complete admin head).
 fn read_ready(c: &mut Conn, chunk: &mut [u8], sh: &PollerShared) -> bool {
     loop {
         match c.stream.read(chunk) {
             Ok(0) => return false, // client closed
             Ok(n) => {
                 c.buf.extend_from_slice(&chunk[..n]);
+                if let ConnKind::Http(_) = c.kind {
+                    if admin::head_complete(&c.buf) {
+                        return false;
+                    }
+                    continue;
+                }
                 while let Some(pos) = c.buf.iter().position(|&b| b == b'\n') {
                     let mut line: Vec<u8> = c.buf.drain(..=pos).collect();
                     line.pop(); // the '\n'
@@ -717,6 +806,23 @@ fn read_ready(c: &mut Conn, chunk: &mut [u8], sh: &PollerShared) -> bool {
             Err(_) => return false,
         }
     }
+}
+
+/// Answers an admin connection from whatever head it sent (an empty head
+/// gets no reply) and marks it read-closed: the reap closes it once the
+/// response is flushed.
+fn answer_admin(c: &mut Conn, sh: &PollerShared) {
+    let view = AdminView {
+        registry: &sh.registry,
+        stats: &sh.stats,
+        cache: &sh.cache,
+        queue: (sh.queue.len(), sh.queue.capacity()),
+        sink: sh.sink.as_deref(),
+    };
+    if let Some(response) = view.answer(&c.buf) {
+        c.writer.send(&response);
+    }
+    c.read_closed = true;
 }
 
 /// Poller-side admission for one complete line: parse once, resolve the

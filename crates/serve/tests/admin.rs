@@ -1,13 +1,15 @@
-//! Admin-plane integration tests: a real server with a real admin
-//! listener, scraped over HTTP while the data port is under load.
+//! Admin-plane integration tests: a real server with its admin listener
+//! on the same event loop, scraped over HTTP while the data port is under
+//! load.
 //!
-//! Obs registries are process-global, so tests in this binary serialize
-//! on one lock instead of fighting over counters.
+//! Obs registries are process-global, and the thread-count test reads
+//! `/proc/self/task`, so tests in this binary serialize on one lock
+//! instead of fighting over counters and threads.
 
 use selearn_serve::synth::{synthetic_model, synthetic_requests};
 use selearn_serve::{
-    run_load, start, start_admin, start_with_feedback, AdminState, Client, DriftConfig,
-    DriftMonitor, DurableFeedback, FeedbackSink, LoadOptions, ModelRegistry, ServerConfig,
+    run_load, start, start_with_feedback, Client, DriftConfig, DriftMonitor, DurableFeedback,
+    FeedbackSink, LoadOptions, ModelRegistry, Request, Response, ServerConfig, ServerHandle,
     DEFAULT_MODEL,
 };
 use selearn_store::{ModelStore, StoreConfig};
@@ -15,18 +17,51 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
-/// One HTTP GET against the admin plane: `(status, body)`.
-fn http_get(addr: &str, path: &str) -> (u16, String) {
+/// Server defaults plus an admin listener on a free port.
+fn with_admin() -> ServerConfig {
+    ServerConfig {
+        admin_addr: Some("127.0.0.1:0".to_string()),
+        ..ServerConfig::default()
+    }
+}
+
+/// The bound admin address of a server started with [`with_admin`].
+fn admin_addr(handle: &ServerHandle) -> String {
+    handle.admin_addr().expect("admin plane configured").to_string()
+}
+
+/// A server with the synthetic 2-D model and the admin plane up.
+fn serve_synthetic_with_admin() -> ServerHandle {
+    let (model, root) = synthetic_model(2, 200, 11).expect("synthetic fit");
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register(DEFAULT_MODEL, Arc::new(model), root);
+    start(with_admin(), registry).expect("server")
+}
+
+/// Live threads in this process, via `/proc/self/task`.
+fn live_threads() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .map(|d| d.count())
+        .unwrap_or(0)
+}
+
+/// Sends raw bytes on a fresh admin connection and reads until the server
+/// closes it.
+fn http_raw(addr: &str, request: &[u8]) -> String {
     let mut stream = TcpStream::connect(addr).expect("admin connect");
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").as_bytes())
-        .expect("write request");
+    stream.write_all(request).expect("write request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
+    raw
+}
+
+/// One HTTP GET against the admin plane: `(status, body)`.
+fn http_get(addr: &str, path: &str) -> (u16, String) {
+    let raw = http_raw(addr, format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n").as_bytes());
     let status: u16 = raw
         .split_whitespace()
         .nth(1)
@@ -85,20 +120,8 @@ fn concurrent_scrapes_stay_valid_during_1k_request_soak() {
     let (model, root) = synthetic_model(2, 200, 11).expect("synthetic fit");
     let registry = Arc::new(ModelRegistry::new());
     registry.register(DEFAULT_MODEL, Arc::new(model), root);
-    let handle = start(ServerConfig::default(), Arc::clone(&registry)).expect("server");
-    let admin = start_admin(
-        "127.0.0.1:0",
-        AdminState {
-            registry,
-            stats: Arc::clone(handle.stats()),
-            cache: Arc::clone(handle.cache()),
-            queue_depth: handle.queue_probe(),
-            drift: None,
-            store_writable: None,
-        },
-    )
-    .expect("admin");
-    let admin_addr = admin.addr().to_string();
+    let handle = start(with_admin(), registry).expect("server");
+    let admin_addr = admin_addr(&handle);
 
     // Scraper thread: hammer /metrics concurrently with the soak,
     // recording the requests-total counter from each valid scrape.
@@ -167,7 +190,6 @@ fn concurrent_scrapes_stay_valid_during_1k_request_soak() {
     let (status, ready_body) = http_get(&admin_addr, "/readyz");
     assert_eq!(status, 200, "{ready_body}");
 
-    admin.shutdown();
     handle.shutdown();
     selearn_obs::enable_stats(false);
 }
@@ -212,32 +234,12 @@ fn readyz_flips_after_drift_alarm_and_recovers() {
     durable.attach_drift(Arc::clone(&monitor));
 
     let handle = start_with_feedback(
-        ServerConfig::default(),
+        with_admin(),
         Arc::clone(&registry),
         Some(Arc::clone(&durable) as Arc<dyn FeedbackSink>),
     )
     .expect("server");
-    let admin = start_admin(
-        "127.0.0.1:0",
-        AdminState {
-            registry,
-            stats: Arc::clone(handle.stats()),
-            cache: Arc::clone(handle.cache()),
-            queue_depth: handle.queue_probe(),
-            drift: Some(Arc::clone(&monitor)),
-            store_writable: Some(Box::new({
-                let dir = dir.clone();
-                move || {
-                    let p = dir.join(".writable-probe");
-                    let ok = std::fs::write(&p, b"x").is_ok();
-                    let _ = std::fs::remove_file(&p);
-                    ok
-                }
-            })),
-        },
-    )
-    .expect("admin");
-    let admin_addr = admin.addr().to_string();
+    let admin_addr = admin_addr(&handle);
 
     let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
     let send_feedback = |client: &mut Client, sel: f64, n: usize| {
@@ -290,8 +292,135 @@ fn readyz_flips_after_drift_alarm_and_recovers() {
     let (status, body) = http_get(&admin_addr, "/readyz");
     assert_eq!(status, 200, "healthy window must clear the alarm: {body}");
 
-    admin.shutdown();
     handle.shutdown();
     selearn_obs::enable_stats(false);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn http_answers_over_a_real_socket() {
+    let _g = OBS_LOCK.lock().unwrap();
+    let handle = serve_synthetic_with_admin();
+    let addr = admin_addr(&handle);
+
+    let ok = http_raw(&addr, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
+    assert!(ok.contains("\r\nConnection: close\r\n"), "{ok}");
+    assert!(ok.ends_with("ok\n"), "{ok}");
+    let post = http_raw(&addr, b"POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert!(post.starts_with("HTTP/1.1 405"), "{post}");
+    let missing = http_raw(&addr, b"GET /whatever HTTP/1.1\r\n\r\n");
+    assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
+    // A bare-newline head ends the request just as CRLF does.
+    let lf = http_raw(&addr, b"GET /healthz HTTP/1.0\n\n");
+    assert!(lf.starts_with("HTTP/1.1 200 OK\r\n"), "{lf}");
+    // Admin connections are not data-port connections.
+    assert_eq!(handle.stats().connections(), 0);
+
+    handle.shutdown();
+}
+
+/// Idle admin sockets are poll-set entries, not parked threads: holding
+/// 32 of them open leaves the process thread count where it was.
+#[test]
+fn idle_admin_connections_add_no_threads() {
+    let _g = OBS_LOCK.lock().unwrap();
+    let handle = serve_synthetic_with_admin();
+    let addr = admin_addr(&handle);
+    let threads_baseline = live_threads();
+
+    let idle: Vec<TcpStream> = (0..32)
+        .map(|i| TcpStream::connect(&addr).unwrap_or_else(|e| panic!("idle connect {i}: {e}")))
+        .collect();
+    // The listener accepts in arrival order, so once a later connection
+    // is answered every idle one has been accepted.
+    let (status, body) = http_get(&addr, "/healthz");
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    assert!(
+        live_threads() <= threads_baseline,
+        "32 idle admin connections grew threads: {threads_baseline} -> {}",
+        live_threads()
+    );
+
+    drop(idle);
+    handle.shutdown();
+}
+
+/// A client that stops mid-head is answered from what it sent once the
+/// 2 s head budget runs out; meanwhile the poller keeps answering other
+/// admin connections and the data port.
+#[test]
+fn stalled_head_is_answered_after_the_budget_without_blocking_others() {
+    let _g = OBS_LOCK.lock().unwrap();
+    let handle = serve_synthetic_with_admin();
+    let addr = admin_addr(&handle);
+
+    let started = Instant::now();
+    let mut stalled = TcpStream::connect(&addr).expect("stalled connect");
+    stalled.write_all(b"GET /hea").expect("partial head");
+
+    let (status, _) = http_get(&addr, "/healthz");
+    assert_eq!(status, 200);
+    let mut client = Client::connect(&handle.addr().to_string()).expect("data connect");
+    let resp = client
+        .call(&Request::rect(
+            DEFAULT_MODEL,
+            vec![0.1, 0.1],
+            vec![0.5, 0.5],
+            Some(1),
+        ))
+        .expect("data call");
+    assert!(matches!(resp, Response::Estimate { .. }), "{resp:?}");
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "a stalled admin head held up other connections for {:?}",
+        started.elapsed()
+    );
+
+    let mut raw = String::new();
+    stalled.read_to_string(&mut raw).expect("read stalled answer");
+    let waited = started.elapsed();
+    assert!(raw.starts_with("HTTP/1.1 404 Not Found\r\n"), "{raw}");
+    assert!(
+        waited >= Duration::from_millis(1900) && waited < Duration::from_secs(5),
+        "stalled head answered after {waited:?}, budget is 2 s"
+    );
+
+    handle.shutdown();
+}
+
+/// A head that never ends is answered once it passes the 8 KiB cap, from
+/// its request line, and the connection is closed.
+#[test]
+fn over_cap_head_is_answered_and_closed() {
+    let _g = OBS_LOCK.lock().unwrap();
+    let handle = serve_synthetic_with_admin();
+    let addr = admin_addr(&handle);
+
+    let mut head = b"GET /healthz HTTP/1.1\r\nX-Pad: ".to_vec();
+    head.resize(8 * 1024 + 100, b'a');
+    let started = Instant::now();
+    let raw = http_raw(&addr, &head);
+    assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"), "{raw}");
+    assert!(raw.ends_with("ok\n"), "{raw}");
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "over-cap head waited for the head budget"
+    );
+
+    handle.shutdown();
+}
+
+#[test]
+fn admin_port_refuses_connections_after_shutdown() {
+    let _g = OBS_LOCK.lock().unwrap();
+    let handle = serve_synthetic_with_admin();
+    let addr = admin_addr(&handle);
+    assert_eq!(http_get(&addr, "/healthz").0, 200);
+
+    handle.shutdown();
+    assert!(
+        TcpStream::connect(&addr).is_err(),
+        "admin port still accepts after shutdown"
+    );
 }

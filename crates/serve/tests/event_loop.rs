@@ -3,7 +3,9 @@
 //!
 //! These pin the properties the readiness poller was built for — a real
 //! server on a real localhost socket, with assertions against
-//! `/proc/self` for thread and memory accounting.
+//! `/proc/self` for thread and memory accounting. Those counts are
+//! process-wide, so the tests in this binary serialize on one lock: a
+//! server another test starts or stops mid-count would skew them.
 
 use selearn_core::SelectivityEstimator;
 use selearn_geom::{Range, Rect};
@@ -14,8 +16,16 @@ use selearn_serve::{
 };
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Runs the calling test alone among this binary's tests. A failed test
+/// poisons the lock; the next one still runs.
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Live threads in this process, via `/proc/self/task`.
 fn live_threads() -> usize {
@@ -71,6 +81,7 @@ fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
 /// where it started and drain `open_connections` back to zero.
 #[test]
 fn connection_churn_leaves_o1_threads() {
+    let _serial = serial();
     let handle = serve_synthetic(ServerConfig::default());
     let addr = handle.addr().to_string();
 
@@ -129,6 +140,7 @@ fn connection_churn_leaves_o1_threads() {
 /// server one poller thread and bounded memory, and wake no workers.
 #[test]
 fn idle_connections_are_cheap() {
+    let _serial = serial();
     // Each idle connection holds 3 fds in this process (client end +
     // server read/write halves); leave generous headroom under the limit.
     let budget = (fd_soft_limit().saturating_sub(512) / 3) as usize;
@@ -197,6 +209,7 @@ fn idle_connections_are_cheap() {
 /// A worker must never block on a client socket.
 #[test]
 fn slow_reader_is_dropped_not_blocking() {
+    let _serial = serial();
     let config = ServerConfig {
         // Smallest allowed per-connection response buffer, so the doom
         // trips after kernel socket buffers fill.
@@ -254,6 +267,7 @@ fn slow_reader_is_dropped_not_blocking() {
 /// `degraded:"quota"` uniform fallbacks without touching tenant `b`.
 #[test]
 fn tenant_quota_isolation() {
+    let _serial = serial();
     struct Constant(f64);
     impl SelectivityEstimator for Constant {
         fn estimate(&self, _r: &Range) -> f64 {

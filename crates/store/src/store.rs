@@ -464,6 +464,11 @@ impl ModelStore {
         &self.config
     }
 
+    /// The directory the store was opened on.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
     /// What recovery found when this store was opened.
     pub fn recovery(&self) -> &RecoveryReport {
         &self.recovery
