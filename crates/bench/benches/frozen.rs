@@ -1,11 +1,7 @@
-//! Frozen-vs-pointer-tree inference A/B. The pointer walk pays an
-//! allocating `Rect::intersect` (two fresh `Vec<f64>`s) per visited node
-//! plus a heap traversal stack per query; the frozen artifact walks
-//! implicit array-indexed nodes and multiplies clamped per-dimension
-//! overlaps in flat coordinate lanes. This bench keeps the step change in
-//! `predict.latency_us` visible in bench history — on a 10k-bucket
-//! QuadHist the frozen path must stay a multiple faster (the PR-6
-//! acceptance floor is 3×; see `BENCH_6.json`).
+//! Frozen QuadHist inference on a 10k-bucket model: single queries and a
+//! 512-query `estimate_into` batch. The frozen artifact walks implicit
+//! array-indexed nodes and multiplies clamped per-dimension overlaps in
+//! flat coordinate lanes; `perf-suite` gates the same two numbers.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -53,20 +49,11 @@ fn probes(n: usize, seed: u64) -> Vec<Range> {
 fn bench_frozen(c: &mut Criterion) {
     let model = QuadHist::from_buckets(Rect::unit(2), &buckets(10_000), VolumeEstimator::default())
         .expect("BFS buckets tile the unit square");
-    let frozen = model.freeze();
     let queries = probes(64, 9);
     let n_buckets = model.num_buckets();
 
-    let mut g = c.benchmark_group("frozen_vs_tree_single");
-    g.bench_with_input(BenchmarkId::new("tree", n_buckets), &model, |b, m| {
-        b.iter(|| {
-            queries
-                .iter()
-                .map(|r| m.estimate(black_box(r)))
-                .sum::<f64>()
-        })
-    });
-    g.bench_with_input(BenchmarkId::new("frozen", n_buckets), &frozen, |b, m| {
+    let mut g = c.benchmark_group("frozen_single");
+    g.bench_with_input(BenchmarkId::new("frozen", n_buckets), &model, |b, m| {
         b.iter(|| {
             queries
                 .iter()
@@ -78,14 +65,8 @@ fn bench_frozen(c: &mut Criterion) {
 
     let batch = probes(512, 10);
     let mut out = vec![0.0; batch.len()];
-    let mut g = c.benchmark_group("frozen_vs_tree_batch512");
-    g.bench_with_input(BenchmarkId::new("tree", n_buckets), &model, |b, m| {
-        b.iter(|| {
-            m.estimate_into(black_box(&batch), &mut out);
-            out[0]
-        })
-    });
-    g.bench_with_input(BenchmarkId::new("frozen", n_buckets), &frozen, |b, m| {
+    let mut g = c.benchmark_group("frozen_batch512");
+    g.bench_with_input(BenchmarkId::new("frozen", n_buckets), &model, |b, m| {
         b.iter(|| {
             m.estimate_into(black_box(&batch), &mut out);
             out[0]

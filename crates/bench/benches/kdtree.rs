@@ -1,11 +1,12 @@
-//! k-d tree range-aggregation benchmarks: PtsHist's prediction path.
-//! Demonstrates the pruned traversal beating the linear scan that
-//! Equation (7) implies when implemented naively.
+//! k-d range-aggregation benchmarks: PtsHist's prediction path, which
+//! walks the frozen k-d layout. Demonstrates the pruned traversal beating
+//! the linear scan that Equation (7) implies when implemented naively.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use selearn_geom::{KdTree, Point, Rect};
+use selearn_core::{PtsHist, SelectivityEstimator};
+use selearn_geom::{Point, Range, Rect};
 
 fn setup(n: usize, d: usize) -> (Vec<Point>, Vec<f64>, Vec<Rect>) {
     let mut rng = StdRng::seed_from_u64(17);
@@ -27,18 +28,13 @@ fn bench_kdtree(c: &mut Criterion) {
     let mut g = c.benchmark_group("kdtree_range_weight");
     for &(n, d) in &[(1_000usize, 2usize), (8_000, 2), (8_000, 6)] {
         let (pts, ws, queries) = setup(n, d);
-        let tree = KdTree::build(pts.clone(), ws.clone());
+        let model =
+            PtsHist::from_support(Rect::unit(d), pts.clone(), ws.clone()).expect("finite weights");
+        let ranges: Vec<Range> = queries.iter().cloned().map(Range::from).collect();
         g.bench_with_input(
             BenchmarkId::new("kdtree", format!("{n}pts_{d}d")),
-            &tree,
-            |b, t| {
-                b.iter(|| {
-                    queries
-                        .iter()
-                        .map(|q| t.weight_in_rect(black_box(q)))
-                        .sum::<f64>()
-                })
-            },
+            &model,
+            |b, m| b.iter(|| ranges.iter().map(|q| m.estimate(black_box(q))).sum::<f64>()),
         );
         g.bench_with_input(
             BenchmarkId::new("linear_scan", format!("{n}pts_{d}d")),

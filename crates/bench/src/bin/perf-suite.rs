@@ -3,14 +3,15 @@
 //! Runs five measurements and writes one machine-readable JSON report
 //! (default `BENCH_9.json`, the PR-10 schema):
 //!
-//! * **single-query p50** — per-query latency of the pointer tree vs the
-//!   frozen SoA artifact on a 10k-bucket 2-D QuadHist, and their speedup
-//!   ratio (the PR-6 acceptance floor is 3×);
+//! * **single-query p50** — per-query latency of the frozen SoA artifact
+//!   on a 10k-bucket 2-D QuadHist;
 //! * **batch throughput** — queries/second through the allocation-free
-//!   `estimate_into` batch path, tree vs frozen;
-//! * **restore** — wall time of `load_quadhist` (pointer layout) and of
-//!   `load_frozen` (straight into the frozen layout, including the
-//!   freeze compilation);
+//!   `estimate_into` batch path;
+//! * **restore** — wall time of `load_quadhist` (`tree_ms`) and of
+//!   `load_frozen` (`frozen_ms`). Both now run the same code: the loaded
+//!   model builds its frozen layout, and `load_frozen` moves it out.
+//!   `tree_ms` stays only for schema-9 compatibility and goes at the
+//!   next schema bump;
 //! * **serve** — client-observed p50/p95/p99 latency through a live
 //!   in-process `selearn-serve` TCP server under a closed-loop replay,
 //!   plus (v8) the same closed loop while 500 idle connections sit on
@@ -20,11 +21,10 @@
 //! * **wal** — per-record `ModelStore::observe` cost with durable acks,
 //!   and the cold-reopen recovery time over the resulting log.
 //!
-//! Usage: `perf-suite [--out FILE] [--buckets N] [--check-speedup X]
-//! [--compare PREV.json] [--compare-slack F]`.
+//! Usage: `perf-suite [--out FILE] [--buckets N] [--compare PREV.json]
+//! [--compare-slack F]`.
 //!
-//! With `--check-speedup X` the process exits non-zero when the measured
-//! single-query speedup falls below `X`. With `--compare PREV.json` the
+//! With `--compare PREV.json` the
 //! fresh numbers are checked against a previous report (v6 through v9): a
 //! regression of more than `--compare-slack` (default 0.15 = 15%) in
 //! single-query frozen p50, batch frozen qps, frozen restore time, or —
@@ -380,8 +380,6 @@ fn main() {
     let n_buckets: usize = take_value(&mut args, "--buckets")
         .map(|v| v.parse().unwrap_or(10_000))
         .unwrap_or(10_000);
-    let check_speedup: Option<f64> =
-        take_value(&mut args, "--check-speedup").and_then(|v| v.parse().ok());
     let compare_path = take_value(&mut args, "--compare");
     let compare_slack: f64 = take_value(&mut args, "--compare-slack")
         .and_then(|v| v.parse().ok())
@@ -399,13 +397,11 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let frozen = model.freeze();
     let single = probes(128, 9);
     let batch = probes(1024, 10);
 
-    // Warm-up so first-touch page faults don't land in the tree's numbers.
+    // Warm-up so first-touch page faults don't land in the numbers.
     let _ = single_query_p50_us(&model, &single[..16], 2);
-    let _ = single_query_p50_us(&frozen, &single[..16], 2);
 
     // Every compared metric is best-of-3: the gate compares absolute
     // wall-clock numbers across runs (and in CI across machines), and
@@ -424,12 +420,8 @@ fn main() {
                 }
             })
     };
-    let tree_p50 = best(&mut || single_query_p50_us(&model, &single, 24), true);
-    let frozen_p50 = best(&mut || single_query_p50_us(&frozen, &single, 24), true);
-    let single_speedup = tree_p50 / frozen_p50;
-
-    let tree_qps = best(&mut || batch_qps(&model, &batch, 8), false);
-    let frozen_qps = best(&mut || batch_qps(&frozen, &batch, 8), false);
+    let frozen_p50 = best(&mut || single_query_p50_us(&model, &single, 24), true);
+    let frozen_qps = best(&mut || batch_qps(&model, &batch, 8), false);
 
     let mut dump = Vec::new();
     if let Err(e) = save_quadhist(&model, &mut dump) {
@@ -456,17 +448,13 @@ fn main() {
     let (wal_observe_us, wal_recovery_ms, wal_replayed) = wal_numbers(wal_records);
 
     let json_out = format!(
-        "{{\n  \"schema\": \"selearn-bench\",\n  \"version\": 9,\n  \"suite\": \"frozen-inference\",\n  \"config\": {{\n    \"model\": \"quadhist\",\n    \"dim\": 2,\n    \"buckets\": {},\n    \"single_probes\": {},\n    \"batch_probes\": {},\n    \"serve_requests\": 2000,\n    \"wal_records\": {}\n  }},\n  \"single_query\": {{\n    \"tree_p50_us\": {:.3},\n    \"frozen_p50_us\": {:.3},\n    \"speedup\": {:.2}\n  }},\n  \"batch\": {{\n    \"tree_qps\": {:.0},\n    \"frozen_qps\": {:.0},\n    \"speedup\": {:.2}\n  }},\n  \"restore\": {{\n    \"tree_ms\": {:.3},\n    \"frozen_ms\": {:.3}\n  }},\n  \"serve\": {{\n    \"p50_us\": {:.1},\n    \"p95_us\": {:.1},\n    \"p99_us\": {:.1},\n    \"idle_conns\": {},\n    \"idle_p50_us\": {:.1},\n    \"tenants\": {},\n    \"multi_tenant_p50_us\": {:.1},\n    \"mixed_shape_p50_us\": {:.1}\n  }},\n  \"wal\": {{\n    \"observe_us\": {:.1},\n    \"recovery_ms\": {:.3},\n    \"replayed_records\": {}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"selearn-bench\",\n  \"version\": 9,\n  \"suite\": \"frozen-inference\",\n  \"config\": {{\n    \"model\": \"quadhist\",\n    \"dim\": 2,\n    \"buckets\": {},\n    \"single_probes\": {},\n    \"batch_probes\": {},\n    \"serve_requests\": 2000,\n    \"wal_records\": {}\n  }},\n  \"single_query\": {{\n    \"frozen_p50_us\": {:.3}\n  }},\n  \"batch\": {{\n    \"frozen_qps\": {:.0}\n  }},\n  \"restore\": {{\n    \"tree_ms\": {:.3},\n    \"frozen_ms\": {:.3}\n  }},\n  \"serve\": {{\n    \"p50_us\": {:.1},\n    \"p95_us\": {:.1},\n    \"p99_us\": {:.1},\n    \"idle_conns\": {},\n    \"idle_p50_us\": {:.1},\n    \"tenants\": {},\n    \"multi_tenant_p50_us\": {:.1},\n    \"mixed_shape_p50_us\": {:.1}\n  }},\n  \"wal\": {{\n    \"observe_us\": {:.1},\n    \"recovery_ms\": {:.3},\n    \"replayed_records\": {}\n  }}\n}}\n",
         model.num_buckets(),
         single.len(),
         batch.len(),
         wal_records,
-        tree_p50,
         frozen_p50,
-        single_speedup,
-        tree_qps,
         frozen_qps,
-        frozen_qps / tree_qps,
         restore_tree_ms,
         restore_frozen_ms,
         serve.p50_us,
@@ -487,15 +475,6 @@ fn main() {
     }
     print!("{json_out}");
 
-    let mut failed = false;
-    if let Some(floor) = check_speedup {
-        if single_speedup < floor {
-            eprintln!("FAIL: single-query speedup {single_speedup:.2}x is below the {floor}x floor");
-            failed = true;
-        } else {
-            eprintln!("OK: single-query speedup {single_speedup:.2}x >= {floor}x");
-        }
-    }
     if let Some(prev_path) = compare_path {
         let prev = match load_compared(&prev_path) {
             Ok(p) => p,
@@ -512,26 +491,22 @@ fn main() {
             serve_p95_us: Some(serve.p95_us),
         };
         let found = regressions(&prev, &fresh, compare_slack);
-        if found.is_empty() {
-            eprintln!(
-                "OK: no >{:.0}% regression vs {prev_path} (frozen p50 {:.3}us vs {:.3}us, qps {:.0} vs {:.0}, restore {:.3}ms vs {:.3}ms)",
-                compare_slack * 100.0,
-                fresh.frozen_p50_us,
-                prev.frozen_p50_us,
-                fresh.frozen_qps,
-                prev.frozen_qps,
-                fresh.restore_frozen_ms,
-                prev.restore_frozen_ms,
-            );
-        } else {
+        if !found.is_empty() {
             for msg in &found {
                 eprintln!("FAIL: {msg}");
             }
-            failed = true;
+            std::process::exit(1);
         }
-    }
-    if failed {
-        std::process::exit(1);
+        eprintln!(
+            "OK: no >{:.0}% regression vs {prev_path} (frozen p50 {:.3}us vs {:.3}us, qps {:.0} vs {:.0}, restore {:.3}ms vs {:.3}ms)",
+            compare_slack * 100.0,
+            fresh.frozen_p50_us,
+            prev.frozen_p50_us,
+            fresh.frozen_qps,
+            prev.frozen_qps,
+            fresh.restore_frozen_ms,
+            prev.restore_frozen_ms,
+        );
     }
 }
 

@@ -1,12 +1,13 @@
-//! Frozen (pointer-free) inference artifacts.
+//! Frozen (pointer-free) inference artifacts: the only code in the crate
+//! that evaluates the paper's prediction rules, Equation (6) for
+//! [`crate::QuadHist`] and Equation (7) for [`crate::PtsHist`].
 //!
 //! Training produces pointer-rich structures — `QuadTree` arenas with
 //! `Option<usize>` child links, k-d trees of boxed `Rect`s — that are
-//! convenient to grow but hostile to the inference hot path: every node
-//! visit chases an option, and every leaf contribution routes through
-//! [`Rect::intersect`], which allocates two `Vec<f64>` corners per call.
-//! `freeze()` compiles a trained estimator into a structure-of-arrays
-//! layout the traversal reads front-to-back:
+//! convenient to grow but hostile to the inference hot path. Each model
+//! compiles its structure once, when it is fitted or restored, into a
+//! structure-of-arrays layout the traversal reads front-to-back, and
+//! answers every estimate through it:
 //!
 //! ```text
 //!   nodes (implicit tree, arena order)      leaves (DFS preorder)
@@ -22,16 +23,14 @@
 //! per-dimension overlap `max(0, min(q_hi, hi) − max(q_lo, lo))` is
 //! multiplied straight into the running volume, a branch-free form the
 //! auto-vectorizer handles. A node fully contained in the query switches
-//! to a tight sequential sweep over its contiguous leaf range.
+//! to a tight sequential sweep over its contiguous leaf range. Excluded
+//! leaves (non-positive weight or degenerate cell) are encoded as
+//! `w = 0, cv = 1` so they contribute an exact `+0.0` instead of
+//! branching.
 //!
-//! **Equivalence contract.** For every range, a frozen estimator returns
-//! the *bit-identical* `f64` its source estimator returns: traversal
-//! visits leaves in the same DFS order, per-leaf arithmetic keeps the same
-//! operand order (`IEEE` min/max and multiplication are deterministic),
-//! and excluded leaves (non-positive weight or degenerate cell) are
-//! encoded as `w = 0, cv = 1` so they contribute an exact `+0.0` instead
-//! of branching. The property suite in `tests/frozen_equivalence.rs`
-//! enforces this with `to_bits()` comparisons.
+//! `tests/golden_weights.rs` pins the bits of these kernels' estimates;
+//! `tests/frozen_equivalence.rs` checks their values against unpruned
+//! brute-force sums over every bucket or support point.
 
 use crate::quadtree::{QuadTree, ROOT};
 use selearn_geom::{KdTree, Point, Range, RangeQuery, Rect, VolumeEstimator, EPS};
@@ -52,6 +51,13 @@ struct TraversalStack {
     spill: Vec<u32>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Nodes pushed onto any traversal stack on this thread — every pushed
+    /// node is popped and visited once, so tests read this to check pruning.
+    static VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 impl TraversalStack {
     fn new() -> Self {
         Self {
@@ -63,6 +69,8 @@ impl TraversalStack {
 
     #[inline]
     fn push(&mut self, v: u32) {
+        #[cfg(test)]
+        VISITS.with(|n| n.set(n.get() + 1));
         if self.len < self.inline.len() {
             self.inline[self.len] = v;
             self.len += 1;
@@ -235,8 +243,8 @@ impl FrozenQuad {
 
     /// One leaf's contribution: clamped per-dimension overlap product,
     /// divided by the cell volume, clamped, scaled by the leaf weight —
-    /// operand-for-operand the math of `QuadHist::estimate`, minus the
-    /// two `Vec` allocations `Rect::intersect` would make.
+    /// the overlap volume `Rect::intersect` would give, minus its two
+    /// `Vec` allocations.
     #[inline]
     fn leaf_term(&self, leaf: usize, q_lo: &[f64], q_hi: &[f64]) -> f64 {
         let base = leaf * self.dim;
@@ -250,8 +258,8 @@ impl FrozenQuad {
     }
 
     /// Rectangle fast path. Pruning against the unclipped query is
-    /// equivalent to the tree path's pruning against `query ∩ root`
-    /// because every cell is a subset of the root.
+    /// equivalent to pruning against `query ∩ root` because every cell is
+    /// a subset of the root.
     fn estimate_rect(&self, q: &Rect) -> f64 {
         assert_eq!(q.dim(), self.dim, "dimension mismatch");
         let (q_lo, q_hi) = (q.lo(), q.hi());
@@ -285,9 +293,8 @@ impl FrozenQuad {
         total.clamp(0.0, 1.0)
     }
 
-    /// Non-rectangular ranges replicate the tree path exactly: prune by
-    /// the clipped bounding box, evaluate every surviving leaf through the
-    /// range's own `intersection_volume`.
+    /// Non-rectangular ranges: prune by the clipped bounding box, evaluate
+    /// every surviving leaf through the range's own `intersection_volume`.
     fn estimate_generic(&self, range: &Range) -> f64 {
         let Some(bbox) = range.bounding_box(&self.root) else {
             return 0.0;
@@ -344,9 +351,11 @@ impl FrozenQuad {
 // FrozenPts
 // ---------------------------------------------------------------------------
 
-/// Flattened [`crate::PtsHist`]: the k-d tree arena copied id-for-id into
-/// SoA lanes, so traversal (and floating-point summation order) reproduces
-/// [`KdTree::weight_in_rect`] exactly.
+/// Flattened [`crate::PtsHist`]: a k-d tree over the support points,
+/// copied id-for-id into SoA lanes. Subtrees entirely inside a rectangle
+/// query are absorbed through their aggregated weight, subtrees entirely
+/// outside its bounding box are skipped, and the remaining nodes test
+/// their own point.
 #[derive(Clone, Debug)]
 pub struct FrozenPts {
     dim: usize,
@@ -370,7 +379,13 @@ pub struct FrozenPts {
 }
 
 impl FrozenPts {
-    pub(crate) fn build(index: &KdTree, root: Rect, solve_report: Option<SolveReport>) -> Self {
+    pub(crate) fn build(
+        points: &[Point],
+        weights: &[f64],
+        root: Rect,
+        solve_report: Option<SolveReport>,
+    ) -> Self {
+        let index = KdTree::build(points.to_vec(), weights.to_vec());
         let dim = root.dim();
         let n = index.num_nodes();
         debug_assert!(n < NONE as usize, "kd-tree too large to freeze");
@@ -524,10 +539,10 @@ impl FrozenPts {
 // FrozenEstimator
 // ---------------------------------------------------------------------------
 
-/// A pointer-free inference artifact produced by an estimator's
-/// `freeze()`. Implements [`SelectivityEstimator`], returning bit-identical
-/// estimates to its source model, so registries and callers hot-swap it in
-/// anywhere a trained model is accepted.
+/// A pointer-free inference artifact, returned by an estimator's
+/// `freeze()`. Its source model answers through this same artifact, so
+/// registries and callers hot-swap it in anywhere a trained model is
+/// accepted and get the same estimates.
 #[derive(Clone, Debug)]
 pub enum FrozenEstimator {
     /// Frozen [`crate::QuadHist`].
@@ -579,6 +594,7 @@ impl SelectivityEstimator for FrozenEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use selearn_geom::Ball;
 
     #[test]
     fn traversal_stack_is_lifo_across_spill() {
@@ -604,5 +620,65 @@ mod tests {
         // touching boxes intersect (closed boxes), like Rect::intersects
         let d = (vec![1.0, 0.0], vec![2.0, 1.0]);
         assert!(!boxes_disjoint(&a.0, &a.1, &d.0, &d.1));
+    }
+
+    /// Nodes the kernel visits answering `range`.
+    fn visits(model: &FrozenEstimator, range: Range) -> usize {
+        VISITS.with(|n| n.set(0));
+        model.estimate(&range);
+        VISITS.with(|n| n.get())
+    }
+
+    #[test]
+    fn pts_kernel_prunes_small_queries() {
+        let mut rng = 8u64;
+        let mut next = || {
+            // xorshift64: a fixed, dependency-free point cloud
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let pts: Vec<Point> = (0..4096)
+            .map(|_| Point::new(vec![next(), next()]))
+            .collect();
+        let ws = vec![1.0 / 4096.0; 4096];
+        let model = FrozenEstimator::Pts(FrozenPts::build(&pts, &ws, Rect::unit(2), None));
+        let tiny = Rect::new(vec![0.4, 0.4], vec![0.45, 0.45]);
+        let v = visits(&model, tiny.into());
+        assert!(v < 4096 / 4, "visited {v} of 4096 nodes for a tiny query");
+        // whole-space query is absorbed at the root
+        assert_eq!(visits(&model, Rect::unit(2).into()), 1);
+    }
+
+    #[test]
+    fn quad_kernel_prunes_small_queries() {
+        // complete depth-6 quadtree: 4096 leaves, 5461 nodes
+        let mut tree = QuadTree::new(Rect::unit(2));
+        let mut frontier = vec![ROOT];
+        for _ in 0..6 {
+            frontier = frontier
+                .into_iter()
+                .flat_map(|id| {
+                    let first = tree.split(id);
+                    first..first + 4
+                })
+                .collect();
+        }
+        assert_eq!(tree.num_leaves(), 4096);
+        let weights = vec![1.0 / 4096.0; tree.num_nodes()];
+        let model = FrozenEstimator::Quad(FrozenQuad::build(
+            &tree,
+            &weights,
+            VolumeEstimator::default(),
+            None,
+        ));
+        let tiny = Rect::new(vec![0.4, 0.4], vec![0.45, 0.45]);
+        let v = visits(&model, tiny.into());
+        assert!(v < 4096 / 4, "visited {v} of 5461 nodes for a tiny query");
+        let v = visits(&model, Ball::new(Point::new(vec![0.42, 0.42]), 0.02).into());
+        assert!(v < 4096 / 4, "visited {v} of 5461 nodes for a tiny ball");
+        // a query covering the root absorbs the whole tree without descending
+        assert_eq!(visits(&model, Rect::unit(2).into()), 1);
     }
 }

@@ -17,6 +17,7 @@
 use crate::assemble::assemble_design_matrix;
 use crate::error::SelearnError;
 use crate::estimator::{SelectivityEstimator, TrainingQuery};
+use crate::frozen::{FrozenEstimator, FrozenQuad};
 use crate::quadhist::{update_quad, QuadHist, QuadHistConfig};
 use crate::quadtree::{QuadTree, ROOT};
 use crate::weights::estimate_weights;
@@ -367,27 +368,29 @@ impl OnlineQuadHist {
         let window: Vec<TrainingQuery> = self.history.into_iter().collect();
         QuadHist::fit(self.root, &window, &self.config)
     }
+
+    /// The current tree and (possibly interim) weights in the frozen
+    /// layout every QuadHist estimate goes through. Built per call: the
+    /// model changes with every observation, and servers answer from
+    /// [`OnlineQuadHist::freeze`]d swaps instead.
+    fn frozen(&self) -> FrozenEstimator {
+        FrozenEstimator::Quad(FrozenQuad::build(
+            &self.tree,
+            &self.node_weight,
+            self.config.volume.clone(),
+            None,
+        ))
+    }
 }
 
 impl SelectivityEstimator for OnlineQuadHist {
     fn estimate(&self, range: &Range) -> f64 {
-        let Some(bbox) = range.bounding_box(&self.root) else {
-            return 0.0;
-        };
-        let mut total = 0.0;
-        self.tree.for_each_leaf_intersecting(&bbox, |id, cell| {
-            let w = self.node_weight[id];
-            if w <= 0.0 {
-                return;
-            }
-            let cv = cell.volume();
-            if cv <= EPS {
-                return;
-            }
-            let frac = range.intersection_volume(cell, &self.config.volume) / cv;
-            total += frac.clamp(0.0, 1.0) * w;
-        });
-        total.clamp(0.0, 1.0)
+        self.frozen().estimate(range)
+    }
+
+    /// Builds the frozen layout once for the whole batch.
+    fn estimate_into(&self, ranges: &[Range], out: &mut [f64]) {
+        self.frozen().estimate_into(ranges, out);
     }
 
     fn num_buckets(&self) -> usize {

@@ -100,37 +100,52 @@ pub fn save_quadhist<W: Write>(model: &QuadHist, mut w: W) -> Result<(), Persist
     Ok(())
 }
 
-/// Deserializes a QuadHist (with the default volume backend).
-pub fn load_quadhist<R: BufRead>(r: R) -> Result<QuadHist, PersistError> {
-    let mut lines = r.lines();
-    let mut next = || -> Result<String, PersistError> {
-        match lines.next() {
-            Some(l) => Ok(l?),
-            None => bad("unexpected end of file"),
-        }
-    };
-    if next()? != MAGIC {
+/// Reads the preamble both model files share: the magic, the
+/// `<family> <d>` header, the root line and the `<count_tag> <n>` line.
+/// Returns `(d, root, n)`. `n` is only a claim of the file's: callers
+/// read that many lines without reserving room for them first.
+fn read_preamble<I: Iterator<Item = io::Result<String>>>(
+    lines: &mut I,
+    family: &str,
+    count_tag: &str,
+) -> Result<(usize, Rect, usize), PersistError> {
+    if next_line(lines)? != MAGIC {
         return bad("missing magic header");
     }
-    let header = next()?;
+    let header = next_line(lines)?;
     let mut it = header.split_whitespace();
-    if it.next() != Some("quadhist") {
-        return bad("expected 'quadhist' section");
+    if it.next() != Some(family) {
+        return bad(format!("expected '{family}' section"));
     }
     let d: usize = it
         .next()
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| PersistError::Format("bad dimension".into()))?;
-    let root_line = next()?;
-    let root = parse_rect_line(&root_line, "root", d)?;
-    let count_line = next()?;
-    let n: usize = count_line
-        .strip_prefix("buckets ")
+    let root = parse_rect_line(&next_line(lines)?, "root", d)?;
+    let n: usize = next_line(lines)?
+        .strip_prefix(count_tag)
+        .and_then(|v| v.strip_prefix(' '))
         .and_then(|v| v.parse().ok())
-        .ok_or_else(|| PersistError::Format("bad bucket count".into()))?;
-    let mut buckets = Vec::with_capacity(n);
+        .ok_or_else(|| PersistError::Format(format!("bad {count_tag} count")))?;
+    Ok((d, root, n))
+}
+
+fn next_line<I: Iterator<Item = io::Result<String>>>(
+    lines: &mut I,
+) -> Result<String, PersistError> {
+    match lines.next() {
+        Some(l) => Ok(l?),
+        None => bad("unexpected end of file"),
+    }
+}
+
+/// Deserializes a QuadHist (with the default volume backend).
+pub fn load_quadhist<R: BufRead>(r: R) -> Result<QuadHist, PersistError> {
+    let mut lines = r.lines();
+    let (d, root, n) = read_preamble(&mut lines, "quadhist", "buckets")?;
+    let mut buckets = Vec::new();
     for _ in 0..n {
-        let line = next()?;
+        let line = next_line(&mut lines)?;
         let toks: Vec<&str> = line.split_whitespace().collect();
         if toks.len() != 2 * d + 1 {
             return bad(format!("bucket line has {} fields", toks.len()));
@@ -145,7 +160,7 @@ pub fn load_quadhist<R: BufRead>(r: R) -> Result<QuadHist, PersistError> {
             .map_err(|e| PersistError::Format(format!("bad bucket box: {e}")))?;
         buckets.push((rect, weight));
     }
-    if next()? != "end" {
+    if next_line(&mut lines)? != "end" {
         return bad("missing trailer");
     }
     QuadHist::from_buckets(root, &buckets, VolumeEstimator::default())
@@ -181,35 +196,11 @@ pub fn save_ptshist<W: Write>(model: &PtsHist, mut w: W) -> Result<(), PersistEr
 /// Deserializes a PtsHist.
 pub fn load_ptshist<R: BufRead>(r: R) -> Result<PtsHist, PersistError> {
     let mut lines = r.lines();
-    let mut next = || -> Result<String, PersistError> {
-        match lines.next() {
-            Some(l) => Ok(l?),
-            None => bad("unexpected end of file"),
-        }
-    };
-    if next()? != MAGIC {
-        return bad("missing magic header");
-    }
-    let header = next()?;
-    let mut it = header.split_whitespace();
-    if it.next() != Some("ptshist") {
-        return bad("expected 'ptshist' section");
-    }
-    let d: usize = it
-        .next()
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| PersistError::Format("bad dimension".into()))?;
-    let root_line = next()?;
-    let root = parse_rect_line(&root_line, "root", d)?;
-    let count_line = next()?;
-    let n: usize = count_line
-        .strip_prefix("points ")
-        .and_then(|v| v.parse().ok())
-        .ok_or_else(|| PersistError::Format("bad point count".into()))?;
-    let mut points = Vec::with_capacity(n);
-    let mut weights = Vec::with_capacity(n);
+    let (d, root, n) = read_preamble(&mut lines, "ptshist", "points")?;
+    let mut points = Vec::new();
+    let mut weights = Vec::new();
     for _ in 0..n {
-        let line = next()?;
+        let line = next_line(&mut lines)?;
         let toks: Vec<&str> = line.split_whitespace().collect();
         if toks.len() != d + 1 {
             return bad(format!("point line has {} fields", toks.len()));
@@ -221,17 +212,17 @@ pub fn load_ptshist<R: BufRead>(r: R) -> Result<PtsHist, PersistError> {
         points.push(Point::new(coords));
         weights.push(dec(toks[d])?);
     }
-    if next()? != "end" {
+    if next_line(&mut lines)? != "end" {
         return bad("missing trailer");
     }
     PtsHist::from_support(root, points, weights)
         .map_err(|e| PersistError::Format(e.to_string()))
 }
 
-/// Loads any supported model file and compiles it straight into its
-/// pointer-free [`crate::frozen::FrozenEstimator`] layout — the restore
-/// path servers use, so a loaded model never serves from the pointer
-/// tree. The section header (`quadhist` / `ptshist`) selects the family.
+/// Loads any supported model file and returns its pointer-free
+/// [`crate::frozen::FrozenEstimator`] — the restore path servers use. The
+/// layout the loader builds is moved out of the loaded model, not copied.
+/// The section header (`quadhist` / `ptshist`) selects the family.
 pub fn load_frozen<R: BufRead>(mut r: R) -> Result<crate::frozen::FrozenEstimator, PersistError> {
     let mut text = String::new();
     r.read_to_string(&mut text)?;
@@ -244,8 +235,8 @@ pub fn load_frozen<R: BufRead>(mut r: R) -> Result<crate::frozen::FrozenEstimato
         .and_then(|h| h.split_whitespace().next())
         .unwrap_or("");
     match family {
-        "quadhist" => Ok(load_quadhist(text.as_bytes())?.freeze()),
-        "ptshist" => Ok(load_ptshist(text.as_bytes())?.freeze()),
+        "quadhist" => Ok(load_quadhist(text.as_bytes())?.into_frozen()),
+        "ptshist" => Ok(load_ptshist(text.as_bytes())?.into_frozen()),
         other => bad(format!("unknown model family '{other}'")),
     }
 }
@@ -255,8 +246,14 @@ fn parse_rect_line(line: &str, tag: &str, d: usize) -> Result<Rect, PersistError
         .strip_prefix(tag)
         .ok_or_else(|| PersistError::Format(format!("expected '{tag}' line")))?;
     let toks: Vec<&str> = rest.split_whitespace().collect();
-    if toks.len() != 2 * d {
-        return bad(format!("{tag} line has {} coords, expected {}", toks.len(), 2 * d));
+    let Some(want) = d.checked_mul(2) else {
+        return bad(format!("dimension {d} is too large"));
+    };
+    if toks.len() != want {
+        return bad(format!(
+            "{tag} line has {} coords, expected {want}",
+            toks.len()
+        ));
     }
     let lo: Vec<f64> = toks[..d].iter().map(|t| dec(t)).collect::<Result<_, _>>()?;
     let hi: Vec<f64> = toks[d..].iter().map(|t| dec(t)).collect::<Result<_, _>>()?;

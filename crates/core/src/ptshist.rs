@@ -19,10 +19,11 @@
 use crate::assemble::assemble_design_matrix;
 use crate::error::SelearnError;
 use crate::estimator::{SelectivityEstimator, TrainingQuery};
+use crate::frozen::{FrozenEstimator, FrozenPts};
 use crate::weights::{estimate_weights_with_report, Objective, WeightSolver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selearn_geom::{sample_in_rect, KdTree, Point, Range, RangeQuery, Rect, RejectionSampler};
+use selearn_geom::{sample_in_rect, Point, Range, RangeQuery, Rect, RejectionSampler};
 use selearn_solver::SolveReport;
 
 /// PtsHist configuration.
@@ -87,16 +88,16 @@ impl PtsHistConfig {
     }
 }
 
-/// A trained PtsHist model: weighted support points (Equation 7), indexed
-/// by a k-d tree so prediction prunes instead of scanning all `k` points.
+/// A trained PtsHist model: weighted support points (Equation 7), plus
+/// their frozen k-d layout so prediction prunes instead of scanning all
+/// `k` points.
 #[derive(Clone, Debug)]
 pub struct PtsHist {
     points: Vec<Point>,
     weights: Vec<f64>,
-    index: KdTree,
-    root: Rect,
-    /// Outcome of the weight-estimation solve (None for loaded models).
-    solve_report: Option<SolveReport>,
+    /// Always [`FrozenEstimator::Pts`]; carries the root and the solve
+    /// report (None for loaded models).
+    frozen: FrozenEstimator,
 }
 
 impl PtsHist {
@@ -188,14 +189,21 @@ impl PtsHist {
             estimate_weights_with_report(&a, &s, &config.objective, &config.solver)?
         };
 
-        let index = KdTree::build(points.clone(), weights.clone());
-        Ok(Self {
+        Ok(Self::new(root, points, weights, solve_report))
+    }
+
+    fn new(
+        root: Rect,
+        points: Vec<Point>,
+        weights: Vec<f64>,
+        solve_report: Option<SolveReport>,
+    ) -> Self {
+        let frozen = FrozenEstimator::Pts(FrozenPts::build(&points, &weights, root, solve_report));
+        Self {
             points,
             weights,
-            index,
-            root,
-            solve_report,
-        })
+            frozen,
+        }
     }
 
     /// The weighted support, for introspection (Figure 7 renders these).
@@ -205,19 +213,21 @@ impl PtsHist {
 
     /// The data-space box the model was trained over.
     pub fn root(&self) -> &Rect {
-        &self.root
+        self.frozen.root()
     }
 
-    /// Compiles the model into a pointer-free [`FrozenEstimator`]: the k-d
-    /// arena copied id-for-id into SoA lanes (see [`crate::frozen`]), so
-    /// traversal and summation order — hence every estimate — are
-    /// bit-identical to this model's.
-    pub fn freeze(&self) -> crate::frozen::FrozenEstimator {
-        crate::frozen::FrozenEstimator::Pts(crate::frozen::FrozenPts::build(
-            &self.index,
-            self.root.clone(),
-            self.solve_report,
-        ))
+    /// The model's pointer-free [`FrozenEstimator`]: a k-d tree over the
+    /// support flattened into SoA lanes (see [`crate::frozen`]). It is the
+    /// layout this model's own estimates go through, so both answer
+    /// identically.
+    pub fn freeze(&self) -> FrozenEstimator {
+        self.frozen.clone()
+    }
+
+    /// [`PtsHist::freeze`] without the copy, for callers done with the
+    /// model.
+    pub(crate) fn into_frozen(self) -> FrozenEstimator {
+        self.frozen
     }
 
     /// Reconstructs a model from its weighted support (the inverse of
@@ -242,22 +252,13 @@ impl PtsHist {
                 what: format!("support point {i} has non-finite weight {w}"),
             });
         }
-        let index = KdTree::build(points.clone(), weights.clone());
-        Ok(Self {
-            points,
-            weights,
-            index,
-            root,
-            solve_report: None,
-        })
+        Ok(Self::new(root, points, weights, None))
     }
 }
 
 impl SelectivityEstimator for PtsHist {
     fn estimate(&self, range: &Range) -> f64 {
-        self.index
-            .weight_in_range(range, &self.root)
-            .clamp(0.0, 1.0)
+        self.frozen.estimate(range)
     }
 
     fn num_buckets(&self) -> usize {
@@ -269,7 +270,7 @@ impl SelectivityEstimator for PtsHist {
     }
 
     fn solve_report(&self) -> Option<SolveReport> {
-        self.solve_report
+        self.frozen.solve_report()
     }
 }
 

@@ -9,11 +9,13 @@
 //! per query is `O(s(R)/τ · log(s(R)/(τ·vol(R))))` (Lemma A.2).
 //!
 //! Weights then come from the shared estimation phase (Equation 8), and
-//! prediction applies Equation (6) via a pruned tree traversal.
+//! prediction applies Equation (6) through the model's frozen layout
+//! ([`crate::frozen`]), built once when the model is fitted or restored.
 
 use crate::assemble::assemble_design_matrix;
 use crate::error::SelearnError;
 use crate::estimator::{SelectivityEstimator, TrainingQuery};
+use crate::frozen::{FrozenEstimator, FrozenQuad};
 use crate::quadtree::{cell_key, cells_match, CellKey, NodeId, QuadTree, ROOT};
 use crate::weights::{estimate_weights_with_report, Objective, WeightSolver};
 use selearn_geom::{Range, RangeQuery, Rect, VolumeEstimator, EPS};
@@ -77,19 +79,34 @@ impl QuadHistConfig {
     }
 }
 
-/// A trained QuadHist model: a quadtree partition plus a weight per leaf.
+/// A trained QuadHist model: a quadtree partition plus a weight per leaf,
+/// and the frozen layout every estimate goes through.
 #[derive(Clone, Debug)]
 pub struct QuadHist {
     tree: QuadTree,
     /// Weight per node id; nonzero only at leaves.
     node_weight: Vec<f64>,
-    num_leaves: usize,
-    volume: VolumeEstimator,
-    /// Outcome of the weight-estimation solve (None for loaded models).
-    solve_report: Option<SolveReport>,
+    /// Always [`FrozenEstimator::Quad`]; carries the volume backend and
+    /// the solve report (None for loaded models).
+    frozen: FrozenEstimator,
 }
 
 impl QuadHist {
+    fn new(
+        tree: QuadTree,
+        node_weight: Vec<f64>,
+        volume: VolumeEstimator,
+        solve_report: Option<SolveReport>,
+    ) -> Self {
+        let frozen =
+            FrozenEstimator::Quad(FrozenQuad::build(&tree, &node_weight, volume, solve_report));
+        Self {
+            tree,
+            node_weight,
+            frozen,
+        }
+    }
+
     /// Trains a QuadHist over the data space `root` from a workload.
     ///
     /// Training queries whose clipped volume is (numerically) zero cannot
@@ -253,23 +270,12 @@ impl QuadHist {
         for (k, &leaf) in leaves.iter().enumerate() {
             node_weight[leaf] = w[k];
         }
-        Ok(Self {
-            num_leaves: leaves.len(),
-            tree,
-            node_weight,
-            volume: config.volume.clone(),
-            solve_report,
-        })
-    }
-
-    /// The underlying partition tree.
-    pub fn tree(&self) -> &QuadTree {
-        &self.tree
+        Ok(Self::new(tree, node_weight, config.volume.clone(), solve_report))
     }
 
     /// The data-space box the model was trained over.
     pub fn root(&self) -> &Rect {
-        self.tree.rect(ROOT)
+        self.frozen.root()
     }
 
     /// Reconstructs a model from its bucket dump (`(leaf box, weight)`
@@ -358,27 +364,24 @@ impl QuadHist {
             };
             node_weight[leaf] = buckets[i].1;
         }
-        Ok(Self {
-            num_leaves: leaves.len(),
-            tree,
-            node_weight,
-            volume,
-            solve_report: None,
-        })
+        // Free the lookup copies before the frozen layout is built, so
+        // restore peaks at the larger of the two phases, not their sum.
+        drop((leaf_boxes, index));
+        Ok(Self::new(tree, node_weight, volume, None))
     }
 
-    /// Compiles the model into a pointer-free [`FrozenEstimator`]: the
-    /// quadtree arena flattened into implicit-index SoA lanes with
-    /// contiguous per-subtree leaf ranges (see [`crate::frozen`]).
-    /// Estimates are bit-identical to this model's; only the constant
-    /// factor of the traversal changes.
-    pub fn freeze(&self) -> crate::frozen::FrozenEstimator {
-        crate::frozen::FrozenEstimator::Quad(crate::frozen::FrozenQuad::build(
-            &self.tree,
-            &self.node_weight,
-            self.volume.clone(),
-            self.solve_report,
-        ))
+    /// The model's pointer-free [`FrozenEstimator`]: the quadtree arena
+    /// flattened into implicit-index SoA lanes with contiguous per-subtree
+    /// leaf ranges (see [`crate::frozen`]). It is the layout this model's
+    /// own estimates go through, so both answer identically.
+    pub fn freeze(&self) -> FrozenEstimator {
+        self.frozen.clone()
+    }
+
+    /// [`QuadHist::freeze`] without the copy, for callers done with the
+    /// model.
+    pub(crate) fn into_frozen(self) -> FrozenEstimator {
+        self.frozen
     }
 
     /// `(bucket, weight)` pairs, for introspection (Figure 7 renders these).
@@ -428,28 +431,11 @@ pub(crate) fn update_quad(
 
 impl SelectivityEstimator for QuadHist {
     fn estimate(&self, range: &Range) -> f64 {
-        let root = self.tree.rect(ROOT);
-        let Some(bbox) = range.bounding_box(root) else {
-            return 0.0;
-        };
-        let mut total = 0.0;
-        self.tree.for_each_leaf_intersecting(&bbox, |id, cell| {
-            let w = self.node_weight[id];
-            if w <= 0.0 {
-                return;
-            }
-            let cv = cell.volume();
-            if cv <= EPS {
-                return;
-            }
-            let frac = range.intersection_volume(cell, &self.volume) / cv;
-            total += frac.clamp(0.0, 1.0) * w;
-        });
-        total.clamp(0.0, 1.0)
+        self.frozen.estimate(range)
     }
 
     fn num_buckets(&self) -> usize {
-        self.num_leaves
+        self.frozen.num_buckets()
     }
 
     fn name(&self) -> &'static str {
@@ -457,7 +443,7 @@ impl SelectivityEstimator for QuadHist {
     }
 
     fn solve_report(&self) -> Option<SolveReport> {
-        self.solve_report
+        self.frozen.solve_report()
     }
 }
 
@@ -737,6 +723,22 @@ mod tests {
         let err = QuadHist::from_buckets(
             Rect::unit(2),
             &[(Rect::unit(3), 1.0)],
+            VolumeEstimator::default(),
+        );
+        assert!(matches!(err, Err(SelearnError::CorruptModel { .. })));
+    }
+
+    #[test]
+    fn restore_rejects_fanout_it_cannot_represent() {
+        // 2^64 children overflow usize even for a single-leaf partition.
+        let root = Rect::unit(64);
+        let err = QuadHist::from_buckets(root.clone(), &[(root, 1.0)], VolumeEstimator::default());
+        assert!(matches!(err, Err(SelearnError::CorruptModel { .. })));
+        // Two depth-1 cells cannot partition a root whose split makes 2^62.
+        let cell = |lo: f64, hi: f64| (Rect::new(vec![lo; 62], vec![hi; 62]), 0.5);
+        let err = QuadHist::from_buckets(
+            Rect::unit(62),
+            &[cell(0.0, 0.5), cell(0.5, 1.0)],
             VolumeEstimator::default(),
         );
         assert!(matches!(err, Err(SelearnError::CorruptModel { .. })));

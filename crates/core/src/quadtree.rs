@@ -1,10 +1,10 @@
 //! A `2^d`-ary space-partitioning tree (quadtree / octree / …).
 //!
 //! QuadHist's bucket-design phase (Algorithm 1) incrementally refines this
-//! tree; its leaves become the histogram buckets. The tree also doubles as
-//! the search structure for prediction — the paper notes (Section 3.2,
-//! third remark) that the quadtree "doubles up as a convenient data
-//! structure for speeding up" range operations.
+//! tree; its leaves become the histogram buckets. The paper notes
+//! (Section 3.2, third remark) that the quadtree "doubles up as a
+//! convenient data structure for speeding up" range operations: prediction
+//! walks it in its flattened form, [`crate::frozen`].
 
 use crate::error::SelearnError;
 use selearn_geom::Rect;
@@ -190,27 +190,6 @@ impl QuadTree {
             .collect()
     }
 
-    /// Visits every leaf whose box intersects `probe`, in deterministic
-    /// order. This is the prediction-time traversal: only the subtree
-    /// overlapping the query is touched.
-    pub fn for_each_leaf_intersecting<F: FnMut(NodeId, &Rect)>(&self, probe: &Rect, mut f: F) {
-        let mut stack = vec![ROOT];
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            if !node.rect.intersects(probe) {
-                continue;
-            }
-            match node.first_child {
-                None => f(id, &node.rect),
-                Some(first) => {
-                    for k in (0..(1usize << self.dim)).rev() {
-                        stack.push(first + k);
-                    }
-                }
-            }
-        }
-    }
-
     /// Depth of a node (root = 0), computed from box widths; valid because
     /// every split exactly halves each side.
     pub fn depth(&self, id: NodeId) -> u32 {
@@ -234,6 +213,20 @@ impl QuadTree {
     /// quadtree partition of `root` (off-lattice box, covered hole, or a
     /// box at an internal position).
     pub fn from_leaf_boxes(root: Rect, leaves: &[Rect]) -> Result<Self, SelearnError> {
+        // A split makes 2^d children, so the fanout must fit a `usize` and
+        // a partition with more than one leaf has at least 2^d of them.
+        let d = root.dim();
+        let fanout = u32::try_from(d)
+            .ok()
+            .and_then(|d| 1usize.checked_shl(d))
+            .ok_or_else(|| SelearnError::CorruptModel {
+                what: format!("dimension {d} overflows the 2^d fanout"),
+            })?;
+        if leaves.len() > 1 && fanout > leaves.len() {
+            return Err(SelearnError::CorruptModel {
+                what: format!("{} boxes cannot partition a root of fanout 2^{d}", leaves.len()),
+            });
+        }
         let mut tree = QuadTree::new(root);
         if leaves.len() <= 1 {
             return Ok(tree);
@@ -398,27 +391,6 @@ mod tests {
         assert_eq!(t.depth(ROOT), 0);
         assert_eq!(t.depth(c1), 1);
         assert_eq!(t.depth(c2), 2);
-    }
-
-    #[test]
-    fn leaf_traversal_prunes() {
-        let mut t = QuadTree::new(Rect::unit(2));
-        let first = t.split(ROOT);
-        // probe only the lower-left quadrant
-        let probe = Rect::new(vec![0.1, 0.1], vec![0.2, 0.2]);
-        let mut visited = Vec::new();
-        t.for_each_leaf_intersecting(&probe, |id, _| visited.push(id));
-        assert_eq!(visited, vec![first]);
-    }
-
-    #[test]
-    fn leaf_traversal_visits_all_on_full_probe() {
-        let mut t = QuadTree::new(Rect::unit(2));
-        let first = t.split(ROOT);
-        t.split(first + 3);
-        let mut visited = Vec::new();
-        t.for_each_leaf_intersecting(&Rect::unit(2), |id, _| visited.push(id));
-        assert_eq!(visited.len(), t.num_leaves());
     }
 
     #[test]

@@ -1,16 +1,15 @@
-//! A static weighted k-d tree with range aggregation.
+//! A static weighted k-d tree with per-subtree bounding boxes and
+//! aggregated subtree weights.
 //!
 //! PtsHist's prediction (Equation 7) sums the weights of support points
 //! inside the query; done naively that is `O(k)` point tests per estimate.
-//! This k-d tree prunes with per-subtree bounding boxes and aggregated
-//! subtree weights: subtrees entirely inside the query are absorbed in
-//! `O(1)`, subtrees entirely outside are skipped, so rectangle queries run
-//! in `O(k^{1−1/d} + answer)` — the classic orthogonal-range-counting
-//! bound. Arbitrary ranges use conservative bounding-box pruning plus the
-//! exact membership predicate at the leaves.
+//! With this tree, subtrees entirely inside the query are absorbed in
+//! `O(1)` and subtrees entirely outside are skipped, so rectangle queries
+//! run in `O(k^{1−1/d} + answer)` — the classic orthogonal-range-counting
+//! bound. The tree is only built here; `selearn_core::frozen` flattens it
+//! node by node and runs the range aggregation on the flat copy.
 
 use crate::point::Point;
-use crate::range::{Range, RangeQuery};
 use crate::rect::Rect;
 
 #[derive(Clone, Debug)]
@@ -125,75 +124,9 @@ impl KdTree {
         self.points.is_empty()
     }
 
-    /// Total weight of points inside the axis-aligned box, with full
-    /// inside/outside subtree pruning.
-    pub fn weight_in_rect(&self, query: &Rect) -> f64 {
-        let mut total = 0.0;
-        let mut stack = Vec::with_capacity(64);
-        if let Some(r) = self.root {
-            stack.push(r);
-        }
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            if !query.intersects(&node.bbox) {
-                continue;
-            }
-            if query.contains_rect(&node.bbox) {
-                total += node.subtree_weight;
-                continue;
-            }
-            if query.contains(&self.points[node.item]) {
-                total += self.weights[node.item];
-            }
-            if let Some(l) = node.left {
-                stack.push(l);
-            }
-            if let Some(r) = node.right {
-                stack.push(r);
-            }
-        }
-        total
-    }
-
-    /// Total weight of points inside an arbitrary range: bounding-box
-    /// pruning on subtrees, exact membership at nodes. `clip` is the
-    /// domain used to compute the range's bounding box.
-    pub fn weight_in_range(&self, query: &Range, clip: &Rect) -> f64 {
-        // fast path: exact pruning for orthogonal ranges
-        if let Range::Rect(r) = query {
-            return self.weight_in_rect(r);
-        }
-        let Some(qbox) = query.bounding_box(clip) else {
-            return 0.0;
-        };
-        let mut total = 0.0;
-        let mut stack = Vec::with_capacity(64);
-        if let Some(r) = self.root {
-            stack.push(r);
-        }
-        while let Some(id) = stack.pop() {
-            let node = &self.nodes[id];
-            if !qbox.intersects(&node.bbox) {
-                continue;
-            }
-            if query.contains(&self.points[node.item]) {
-                total += self.weights[node.item];
-            }
-            if let Some(l) = node.left {
-                stack.push(l);
-            }
-            if let Some(r) = node.right {
-                stack.push(r);
-            }
-        }
-        total
-    }
-
     /// Root node id, or `None` for an empty tree. Node ids index the
-    /// arena in build order and stay stable for the tree's lifetime —
-    /// flattened inference layouts copy nodes out by id so their
-    /// traversal (and hence floating-point summation order) reproduces
-    /// [`KdTree::weight_in_rect`] exactly.
+    /// arena in build order and stay stable for the tree's lifetime, so
+    /// flattened inference layouts copy nodes out by id.
     pub fn root_id(&self) -> Option<usize> {
         self.root
     }
@@ -215,30 +148,6 @@ impl KdTree {
             right: n.right,
         }
     }
-
-    /// Nodes visited answering a rectangle query — exposed so benches can
-    /// demonstrate the sublinear visit count.
-    pub fn visits_for_rect(&self, query: &Rect) -> usize {
-        let mut visits = 0;
-        let mut stack = Vec::with_capacity(64);
-        if let Some(r) = self.root {
-            stack.push(r);
-        }
-        while let Some(id) = stack.pop() {
-            visits += 1;
-            let node = &self.nodes[id];
-            if !query.intersects(&node.bbox) || query.contains_rect(&node.bbox) {
-                continue;
-            }
-            if let Some(l) = node.left {
-                stack.push(l);
-            }
-            if let Some(r) = node.right {
-                stack.push(r);
-            }
-        }
-        visits
-    }
 }
 
 #[cfg(test)]
@@ -247,157 +156,45 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn random_points(n: usize, d: usize, seed: u64) -> (Vec<Point>, Vec<f64>) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::new((0..d).map(|_| rng.gen()).collect()))
-            .collect();
-        let mut ws: Vec<f64> = (0..n).map(|_| rng.gen::<f64>()).collect();
-        let total: f64 = ws.iter().sum();
-        for w in &mut ws {
-            *w /= total;
-        }
-        (pts, ws)
-    }
-
-    fn brute_rect(pts: &[Point], ws: &[f64], q: &Rect) -> f64 {
-        pts.iter()
-            .zip(ws)
-            .filter(|(p, _)| q.contains(p))
-            .map(|(_, &w)| w)
-            .sum()
-    }
-
     #[test]
     fn empty_tree() {
         let t = KdTree::build(vec![], vec![]);
         assert!(t.is_empty());
-        assert_eq!(t.weight_in_rect(&Rect::unit(2)), 0.0);
+        assert_eq!(t.root_id(), None);
+        assert_eq!(t.num_nodes(), 0);
     }
 
     #[test]
-    fn single_point() {
-        let t = KdTree::build(vec![Point::new(vec![0.5, 0.5])], vec![1.0]);
-        assert_eq!(t.weight_in_rect(&Rect::unit(2)), 1.0);
-        let off = Rect::new(vec![0.6, 0.6], vec![1.0, 1.0]);
-        assert_eq!(t.weight_in_rect(&off), 0.0);
-    }
-
-    #[test]
-    fn matches_brute_force_2d() {
-        let (pts, ws) = random_points(500, 2, 1);
-        let t = KdTree::build(pts.clone(), ws.clone());
-        let mut rng = StdRng::seed_from_u64(2);
-        for _ in 0..200 {
-            let lo = [rng.gen::<f64>() * 0.8, rng.gen::<f64>() * 0.8];
-            let q = Rect::new(
-                lo.to_vec(),
-                vec![lo[0] + rng.gen::<f64>() * 0.2, lo[1] + rng.gen::<f64>() * 0.2],
-            );
-            let got = t.weight_in_rect(&q);
-            let want = brute_rect(&pts, &ws, &q);
-            assert!((got - want).abs() < 1e-12, "got {got}, want {want}");
+    fn subtrees_aggregate_their_points() {
+        // Every node's bbox holds every point of its subtree, and its
+        // subtree weight is their sum: the facts range aggregation prunes
+        // and absorbs with.
+        let mut rng = StdRng::seed_from_u64(1);
+        let pts: Vec<Point> = (0..300)
+            .map(|_| Point::new((0..3).map(|_| rng.gen()).collect()))
+            .collect();
+        let ws: Vec<f64> = (0..300).map(|_| rng.gen()).collect();
+        let t = KdTree::build(pts, ws.clone());
+        assert_eq!((t.len(), t.num_nodes()), (300, 300));
+        fn walk(t: &KdTree, id: usize, out: &mut Vec<usize>) {
+            out.push(id);
+            let v = t.node(id);
+            for c in [v.left, v.right].into_iter().flatten() {
+                walk(t, c, out);
+            }
         }
-    }
-
-    #[test]
-    fn matches_brute_force_high_dim() {
-        let (pts, ws) = random_points(300, 6, 3);
-        let t = KdTree::build(pts.clone(), ws.clone());
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..50 {
-            let lo: Vec<f64> = (0..6).map(|_| rng.gen::<f64>() * 0.5).collect();
-            let hi: Vec<f64> = lo.iter().map(|l| l + rng.gen::<f64>() * 0.5).collect();
-            let q = Rect::new(lo, hi);
-            let got = t.weight_in_rect(&q);
-            let want = brute_rect(&pts, &ws, &q);
-            assert!((got - want).abs() < 1e-12);
+        let mut all = Vec::new();
+        walk(&t, t.root_id().unwrap(), &mut all);
+        assert_eq!(all.len(), 300, "every node reachable once");
+        for id in 0..t.num_nodes() {
+            let mut sub = Vec::new();
+            walk(&t, id, &mut sub);
+            let v = t.node(id);
+            let sum: f64 = sub.iter().map(|&c| t.node(c).weight).sum();
+            assert!((v.subtree_weight - sum).abs() < 1e-9);
+            assert!(sub.iter().all(|&c| v.bbox.contains(t.node(c).point)));
         }
-    }
-
-    #[test]
-    fn whole_space_returns_total_weight() {
-        let (pts, ws) = random_points(200, 3, 5);
-        let t = KdTree::build(pts, ws);
-        assert!((t.weight_in_rect(&Rect::unit(3)) - 1.0).abs() < 1e-12);
-        assert_eq!(t.len(), 200);
-    }
-
-    #[test]
-    fn ball_range_matches_brute_force() {
-        use crate::ball::Ball;
-        let (pts, ws) = random_points(400, 2, 6);
-        let t = KdTree::build(pts.clone(), ws.clone());
-        let b = Ball::new(Point::new(vec![0.4, 0.6]), 0.25);
-        let q: Range = b.clone().into();
-        let got = t.weight_in_range(&q, &Rect::unit(2));
-        let want: f64 = pts
-            .iter()
-            .zip(&ws)
-            .filter(|(p, _)| b.contains(p))
-            .map(|(_, &w)| w)
-            .sum();
-        assert!((got - want).abs() < 1e-12);
-    }
-
-    #[test]
-    fn halfspace_range_matches_brute_force() {
-        use crate::halfspace::Halfspace;
-        let (pts, ws) = random_points(400, 3, 7);
-        let t = KdTree::build(pts.clone(), ws.clone());
-        let h = Halfspace::new(vec![1.0, -0.5, 0.3], 0.2);
-        let q: Range = h.clone().into();
-        let got = t.weight_in_range(&q, &Rect::unit(3));
-        let want: f64 = pts
-            .iter()
-            .zip(&ws)
-            .filter(|(p, _)| h.contains(p))
-            .map(|(_, &w)| w)
-            .sum();
-        assert!((got - want).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pruning_is_sublinear_for_small_queries() {
-        let (pts, ws) = random_points(4096, 2, 8);
-        let t = KdTree::build(pts, ws);
-        let tiny = Rect::new(vec![0.4, 0.4], vec![0.45, 0.45]);
-        let visits = t.visits_for_rect(&tiny);
-        assert!(
-            visits < 4096 / 4,
-            "visited {visits} of 4096 nodes for a tiny query"
-        );
-        // whole-space query is absorbed at the root
-        assert_eq!(t.visits_for_rect(&Rect::unit(2)), 1);
-    }
-
-    #[test]
-    fn duplicate_points_supported() {
-        let p = Point::new(vec![0.5, 0.5]);
-        let t = KdTree::build(vec![p.clone(), p.clone(), p], vec![0.2, 0.3, 0.5]);
-        assert!((t.weight_in_rect(&Rect::unit(2)) - 1.0).abs() < 1e-12);
-        let exact = Rect::new(vec![0.5, 0.5], vec![0.5, 0.5]);
-        assert!((t.weight_in_rect(&exact) - 1.0).abs() < 1e-12);
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
-        #[test]
-        fn prop_matches_brute_force(
-            coords in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..80),
-            qlo in (0.0f64..0.9, 0.0f64..0.9),
-            qsize in (0.0f64..0.6, 0.0f64..0.6),
-        ) {
-            let pts: Vec<Point> = coords.iter().map(|&(x, y)| Point::new(vec![x, y])).collect();
-            let ws = vec![1.0 / pts.len() as f64; pts.len()];
-            let t = KdTree::build(pts.clone(), ws.clone());
-            let q = Rect::new(
-                vec![qlo.0, qlo.1],
-                vec![(qlo.0 + qsize.0).min(1.0), (qlo.1 + qsize.1).min(1.0)],
-            );
-            let got = t.weight_in_rect(&q);
-            let want = brute_rect(&pts, &ws, &q);
-            proptest::prop_assert!((got - want).abs() < 1e-12);
-        }
+        let total: f64 = ws.iter().sum();
+        assert!((t.node(t.root_id().unwrap()).subtree_weight - total).abs() < 1e-9);
     }
 }

@@ -842,8 +842,7 @@ fn admit_line(line: Vec<u8>, writer: &Arc<ConnWriter>, sh: &PollerShared) {
         Ok(p) => p,
         Err(message) => {
             let response = error_response(&sh.stats, None, message);
-            writer.send(response_line(&response).as_bytes());
-            finish_request(&sh.stats, received);
+            respond(writer, &sh.stats, &response, received);
             return;
         }
     };
@@ -853,8 +852,7 @@ fn admit_line(line: Vec<u8>, writer: &Arc<ConnWriter>, sh: &PollerShared) {
     };
     let Some(slot) = sh.registry.slot(est_name) else {
         let response = error_response(&sh.stats, id, format!("unknown model \"{est_name}\""));
-        writer.send(response_line(&response).as_bytes());
-        finish_request(&sh.stats, received);
+        respond(writer, &sh.stats, &response, received);
         return;
     };
     if !slot.tenant().admit() {
@@ -873,9 +871,8 @@ fn admit_line(line: Vec<u8>, writer: &Arc<ConnWriter>, sh: &PollerShared) {
                 degraded_response(&req, slot.root(), DegradeReason::Quota, received)
             }
         };
-        writer.send(response_line(&response).as_bytes());
+        respond(writer, &sh.stats, &response, received);
         trace_job(trace_id, "respond", received, "");
-        finish_request(&sh.stats, received);
         return;
     }
     let job = Job {
@@ -937,9 +934,8 @@ fn shed(job: Job, stats: &ServeStats) {
         }
     };
     trace_job(job.trace_id, "degraded", job.received, "shed");
-    job.writer.send(response_line(&response).as_bytes());
+    respond(&job.writer, stats, &response, job.received);
     trace_job(job.trace_id, "respond", job.received, "");
-    finish_request(stats, job.received);
 }
 
 /// The batched worker hot loop: drain up to [`MAX_WORKER_BATCH`] jobs,
@@ -1024,9 +1020,8 @@ fn worker_loop(
                     }
                 }
             };
-            job.writer.send(response_line(&response).as_bytes());
+            respond(&job.writer, stats, &response, job.received);
             trace_job(job.trace_id, "respond", job.received, "");
-            finish_request(stats, job.received);
         }
     }
 }
@@ -1274,9 +1269,7 @@ fn respond_error(
     message: &str,
     received: Instant,
 ) {
-    let response = error_response(stats, id, message.to_string());
-    writer.send(response_line(&response).as_bytes());
-    finish_request(stats, received);
+    respond(writer, stats, &error_response(stats, id, message.to_string()), received);
 }
 
 /// Serializes one response with its terminating newline.
@@ -1286,10 +1279,14 @@ fn response_line(response: &Response) -> String {
     line
 }
 
-/// Per-answer accounting shared by every response path.
-fn finish_request(stats: &ServeStats, received: Instant) {
+/// Sends one answer with the accounting every response path shares. The
+/// request is counted before its answer goes out, so a client holding all
+/// its answers never reads a counter that trails them; the latency sample
+/// still spans the send.
+fn respond(writer: &ConnWriter, stats: &ServeStats, response: &Response, received: Instant) {
     stats.requests.fetch_add(1, Ordering::Relaxed);
     selearn_obs::counter_add("serve.requests_total", 1);
+    writer.send(response_line(response).as_bytes());
     selearn_obs::histogram_record(
         "serve.latency_us",
         received.elapsed().as_secs_f64() * 1e6,

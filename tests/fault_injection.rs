@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use selearn::core::{
-    load_ptshist, load_quadhist, save_ptshist, save_quadhist, PersistError,
+    load_frozen, load_ptshist, load_quadhist, save_ptshist, save_quadhist, PersistError,
 };
 use selearn::prelude::*;
 
@@ -269,4 +269,80 @@ fn wrong_magic_is_a_typed_error() {
             "accepted {junk:?}"
         );
     }
+}
+
+/// The hex encoding model files use for `v`.
+fn hex(v: f64) -> String {
+    format!("{:016x}", v.to_bits())
+}
+
+/// A box line: `d` encoded copies of `lo`, then of `hi`, then `tail`.
+fn box_line(d: usize, lo: f64, hi: f64, tail: &[f64]) -> String {
+    let mut fields = vec![hex(lo); d];
+    fields.extend(vec![hex(hi); d]);
+    fields.extend(tail.iter().map(|&v| hex(v)));
+    fields.join(" ")
+}
+
+/// A model file with a `d`-dimensional unit root, the given count line
+/// and body lines.
+fn model_file(family: &str, d: usize, count: &str, body: &[String]) -> String {
+    let root = box_line(d, 0.0, 1.0, &[]);
+    let mut text = format!("selearn-model v1\n{family} {d}\nroot {root}\n{count}\n");
+    for line in body {
+        text.push_str(line);
+        text.push('\n');
+    }
+    text.push_str("end\n");
+    text
+}
+
+fn assert_format_error<T>(got: Result<T, PersistError>, what: &str) {
+    assert!(matches!(got, Err(PersistError::Format(_))), "accepted {what}");
+}
+
+#[test]
+fn huge_declared_counts_are_typed_errors() {
+    // Neither count is backed by lines; the loaders must not reserve room
+    // for them up front (capacity overflow, or a 56 GB allocation).
+    for n in ["4000000000000000000", "1000000000"] {
+        let quad = model_file("quadhist", 2, &format!("buckets {n}"), &[]);
+        assert_format_error(load_quadhist(quad.as_bytes()), &quad);
+        assert_format_error(load_frozen(quad.as_bytes()), &quad);
+        let pts = model_file("ptshist", 2, &format!("points {n}"), &[]);
+        assert_format_error(load_ptshist(pts.as_bytes()), &pts);
+        assert_format_error(load_frozen(pts.as_bytes()), &pts);
+    }
+}
+
+#[test]
+fn overflowing_dimension_is_a_typed_error() {
+    // 2·d overflows usize.
+    for family in ["quadhist", "ptshist"] {
+        let text = format!("selearn-model v1\n{family} 9223372036854775808\nroot\nbuckets 1\n");
+        assert_format_error(load_frozen(text.as_bytes()), &text);
+    }
+    let text = "selearn-model v1\nquadhist 9223372036854775808\nroot\nbuckets 1\n";
+    assert_format_error(load_quadhist(text.as_bytes()), text);
+    let text = "selearn-model v1\nptshist 9223372036854775808\nroot\npoints 1\n";
+    assert_format_error(load_ptshist(text.as_bytes()), text);
+}
+
+#[test]
+fn quadhist_dimension_past_the_fanout_width_is_a_typed_error() {
+    // One bucket equal to the root: valid-looking, but 2^64 overflows.
+    let text = model_file("quadhist", 64, "buckets 1", &[box_line(64, 0.0, 1.0, &[1.0])]);
+    assert_format_error(load_frozen(text.as_bytes()), &text);
+    assert_format_error(load_quadhist(text.as_bytes()), &text);
+}
+
+#[test]
+fn quadhist_fanout_beyond_the_bucket_count_is_a_typed_error() {
+    // Two depth-1 cells of a 62-dimensional root: a partition with more
+    // than one bucket has at least 2^62 of them.
+    let d = 62;
+    let cells = [box_line(d, 0.0, 0.5, &[0.5]), box_line(d, 0.5, 1.0, &[0.5])];
+    let text = model_file("quadhist", d, "buckets 2", &cells);
+    assert_format_error(load_quadhist(text.as_bytes()), &text);
+    assert_format_error(load_frozen(text.as_bytes()), &text);
 }

@@ -5,9 +5,12 @@
 //! weight — or one iteration of any solve — changes the hash.
 //!
 //! The hashes were recorded from the dense-matrix solver; the sparse
-//! design matrices must reproduce them exactly. Tests share the global
-//! obs sink (to read each solve's `SolverReport`), so a file-local lock
-//! serializes them.
+//! design matrices must reproduce them exactly. A second set pins the
+//! bits of the models' estimates on a fixed probe set; those hashes were
+//! recorded from the pointer-tree walks that answered estimates before
+//! the frozen kernels became the only inference code. Tests share the
+//! global obs sink (to read each solve's `SolverReport`), so a file-local
+//! lock serializes them.
 
 use selearn::prelude::*;
 use selearn_obs::{Event, MemorySink};
@@ -160,4 +163,99 @@ fn converging_quadhist_weights_are_pinned() {
     });
     assert!(got.1[0] < 700, "expected convergence, ran {:?}", got.1);
     check("quadhist-converging", got, 0x8916_7392_1b19_ae0a);
+}
+
+/// The fixed estimate probe set: held-out data-driven rects, rects that
+/// straddle the root, degenerate rects, rects outside and covering the
+/// root, halfspaces and balls.
+fn estimate_probes() -> Vec<Range> {
+    let mut out: Vec<Range> = workload(48, 9).into_iter().map(|q| q.range).collect();
+    let rect = |lo: [f64; 2], hi: [f64; 2]| -> Range { Rect::new(lo.to_vec(), hi.to_vec()).into() };
+    out.extend([
+        rect([-0.2, 0.3], [0.4, 1.3]),
+        rect([0.7, -0.1], [1.2, 0.5]),
+        rect([-0.5, -0.5], [0.05, 0.05]),
+        rect([0.3, 0.1], [0.3, 0.9]),
+        rect([0.25, 0.75], [0.25, 0.75]),
+        rect([1.5, 1.5], [2.0, 1.75]),
+        rect([-3.0, -2.0], [-1.0, -0.5]),
+        rect([-1.0, -1.0], [2.0, 2.0]),
+        rect([0.0, 0.0], [1.0, 1.0]),
+    ]);
+    out.extend([
+        Range::from(Halfspace::new(vec![1.0, 0.0], 0.5)),
+        Halfspace::new(vec![-1.0, -1.0], -0.3).into(),
+        Halfspace::through_point(&Point::new(vec![0.3, 0.6]), vec![0.6, -0.8]).into(),
+        Halfspace::new(vec![1.0, 1.0], 5.0).into(),
+        Ball::new(Point::new(vec![0.4, 0.6]), 0.25).into(),
+        Ball::new(Point::new(vec![0.1, 0.05]), 0.12).into(),
+        Ball::new(Point::new(vec![1.8, 1.8]), 0.1).into(),
+        Ball::new(Point::new(vec![0.5, 0.5]), 2.0).into(),
+    ]);
+    out
+}
+
+/// FNV-1a over the bit patterns of `model`'s estimates on the probe set.
+fn estimate_hash(model: &dyn SelectivityEstimator, probes: &[Range]) -> u64 {
+    let mut h = Fnv::new();
+    for r in probes {
+        h.word(model.estimate(r).to_bits());
+    }
+    h.0
+}
+
+fn check_estimates(name: &str, got: u64, want: u64) {
+    assert_eq!(
+        got, want,
+        "{name}: estimate bits changed; got hash {got:#018x}, pinned {want:#018x}"
+    );
+}
+
+#[test]
+fn quadhist_estimates_are_pinned() {
+    let _g = SINK_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let train = workload(128, 1);
+    let m = QuadHist::fit_with_bucket_target(
+        Rect::unit(2),
+        &train,
+        4 * train.len(),
+        &QuadHistConfig::default(),
+    )
+    .unwrap();
+    check_estimates("quadhist", estimate_hash(&m, &estimate_probes()), 0x1c78_6543_12d5_9be9);
+}
+
+#[test]
+fn ptshist_estimates_are_pinned() {
+    let _g = SINK_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let train = workload(128, 2);
+    let m = PtsHist::fit(
+        Rect::unit(2),
+        &train,
+        &PtsHistConfig::with_model_size(4 * train.len()),
+    )
+    .unwrap();
+    check_estimates("ptshist", estimate_hash(&m, &estimate_probes()), 0x2c40_8596_db30_d671);
+}
+
+#[test]
+fn online_quadhist_estimates_are_pinned() {
+    let _g = SINK_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let train = workload(160, 3);
+    let probes = estimate_probes();
+    let mut m = OnlineQuadHist::new(Rect::unit(2), QuadHistConfig::with_tau(0.005), 64)
+        .unwrap()
+        .with_history_cap(96);
+    let mut got = Vec::new();
+    // 40: interim weights only; 128: right after the second refit; 160:
+    // refit weights plus interim splits since.
+    for (i, q) in train.iter().enumerate() {
+        m.observe(q.clone()).unwrap();
+        if matches!(i + 1, 40 | 128 | 160) {
+            got.push(estimate_hash(&m, &probes));
+        }
+    }
+    check_estimates("online-quadhist interim", got[0], 0xed20_f9e3_b0bc_99e9);
+    check_estimates("online-quadhist refit", got[1], 0x03d9_a933_00bd_a60c);
+    check_estimates("online-quadhist refit+interim", got[2], 0xebc2_7f11_4587_6a24);
 }
