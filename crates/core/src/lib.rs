@@ -30,7 +30,6 @@
 
 pub mod arrangement_hist;
 pub mod assemble;
-pub mod cdf1d;
 pub mod error;
 pub mod estimator;
 pub mod frozen;
@@ -46,7 +45,6 @@ pub mod weights;
 
 pub use arrangement_hist::{ArrangementHist, ArrangementHistConfig};
 pub use assemble::assemble_design_matrix;
-pub use cdf1d::{Cdf1D, Cdf1DConfig};
 pub use error::{check_labels, SelearnError};
 pub use estimator::{BoxedEstimator, SelectivityEstimator, SharedEstimator, TrainingQuery};
 pub use frozen::FrozenEstimator;

@@ -164,23 +164,9 @@ impl OnlineQuadHist {
                 self.node_volume.push(self.tree.rect(id).volume());
             }
             self.node_weight.resize(self.tree.num_nodes(), 0.0);
-            for id in 0..nodes_before {
-                if !self.tree.is_leaf(id) && self.node_weight[id] > 0.0 {
-                    let w = std::mem::take(&mut self.node_weight[id]);
-                    let total: f64 = self.tree.children(id).map(|c| self.node_volume[c]).sum();
-                    let kids: Vec<_> = self.tree.children(id).collect();
-                    for c in kids {
-                        let share = if total > 0.0 {
-                            self.node_volume[c] / total
-                        } else {
-                            0.0
-                        };
-                        self.node_weight[c] += w * share;
-                    }
-                }
-            }
-            // repeat for freshly created internal nodes (deep splits)
-            for id in nodes_before..self.tree.num_nodes() {
+            // children always get higher ids than their parent, so one
+            // ascending pass also carries mass through deep splits
+            for id in 0..self.tree.num_nodes() {
                 if !self.tree.is_leaf(id) && self.node_weight[id] > 0.0 {
                     let w = std::mem::take(&mut self.node_weight[id]);
                     let kids: Vec<_> = self.tree.children(id).collect();
@@ -361,12 +347,16 @@ impl OnlineQuadHist {
         self.history.len()
     }
 
-    /// Converts into a frozen batch model (refitting first). With a
-    /// history cap, the batch model is trained on the retained window.
-    pub fn freeze(mut self) -> Result<QuadHist, SelearnError> {
-        self.refit()?;
-        let window: Vec<TrainingQuery> = self.history.into_iter().collect();
-        QuadHist::fit(self.root, &window, &self.config)
+    /// The model as it stands — its own partition and current (possibly
+    /// interim) weights — as a [`QuadHist`] that answers every query
+    /// bit-for-bit like [`OnlineQuadHist::estimate`]. Runs no solve.
+    pub fn freeze(&self) -> Result<QuadHist, SelearnError> {
+        Ok(QuadHist::new(
+            self.tree.clone(),
+            self.node_weight.clone(),
+            self.config.volume.clone(),
+            None,
+        ))
     }
 
     /// The current tree and (possibly interim) weights in the frozen
@@ -471,15 +461,24 @@ mod tests {
     }
 
     #[test]
-    fn freeze_produces_equivalent_batch_model() {
+    fn freeze_answers_like_the_live_model_on_the_batch_partition() {
         let cfg = QuadHistConfig::with_tau(0.05);
         let mut online = OnlineQuadHist::new(Rect::unit(2), cfg.clone(), 3).unwrap();
         for q in stream() {
             online.observe(q).unwrap();
         }
         let frozen = online.freeze().unwrap();
+        // Lemma A.4: the partition is the batch fit's
         let batch = QuadHist::fit(Rect::unit(2), &stream(), &cfg).unwrap();
         assert_eq!(frozen.num_buckets(), batch.num_buckets());
+        assert!(frozen.solve_report().is_none(), "freeze runs no solve");
+        let probes = stream().into_iter().map(|q| q.range).chain([
+            Rect::unit(2).into(),
+            Rect::new(vec![0.3, 0.1], vec![0.7, 0.8]).into(),
+        ]);
+        for r in probes {
+            assert_eq!(frozen.estimate(&r).to_bits(), online.estimate(&r).to_bits());
+        }
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub struct QuadHist {
 }
 
 impl QuadHist {
-    fn new(
+    pub(crate) fn new(
         tree: QuadTree,
         node_weight: Vec<f64>,
         volume: VolumeEstimator,

@@ -13,8 +13,7 @@
 
 use proptest::prelude::*;
 use selearn_core::{
-    Cdf1D, Cdf1DConfig, PtsHist, PtsHistConfig, QuadHist, QuadHistConfig, SelectivityEstimator,
-    TrainingQuery,
+    PtsHist, PtsHistConfig, QuadHist, QuadHistConfig, SelectivityEstimator, TrainingQuery,
 };
 use selearn_geom::{Point, Range, Rect};
 
@@ -88,38 +87,6 @@ proptest! {
         cfg.seed = seed;
         let model = PtsHist::fit(Rect::unit(2), &train, &cfg).unwrap();
         let pairs: Vec<_> = query_pool.chunks_exact(6).map(nested_pair).collect();
-        check_model(&model, &pairs)?;
-    }
-
-    #[test]
-    fn cdf1d_estimates_bounded_and_monotone(
-        train_pool in proptest::collection::vec(0.0f64..1.0, 45),
-        query_pool in proptest::collection::vec(0.01f64..1.0, 40),
-    ) {
-        // 1-D intervals: each training query consumes (lo, width, label)
-        let train: Vec<TrainingQuery> = train_pool
-            .chunks_exact(3)
-            .map(|c| {
-                let lo = c[0].min(0.95);
-                let hi = (lo + c[1].max(0.01)).min(1.0);
-                TrainingQuery::new(Rect::new(vec![lo], vec![hi]), c[2])
-            })
-            .collect();
-        let model = Cdf1D::fit(&train, &Cdf1DConfig::default()).unwrap();
-        let pairs: Vec<_> = query_pool
-            .chunks_exact(4)
-            .map(|c| {
-                let lo = c[0].min(0.9);
-                let hi = (lo + c[1].max(0.02)).min(1.0);
-                // inner interval: shrink from both ends
-                let ilo = lo + (hi - lo) * 0.5 * c[2];
-                let ihi = hi - (hi - lo) * 0.5 * c[3].min(1.0 - c[2]).max(0.0);
-                (
-                    Range::Rect(Rect::new(vec![ilo], vec![ihi.max(ilo)])),
-                    Range::Rect(Rect::new(vec![lo], vec![hi])),
-                )
-            })
-            .collect();
         check_model(&model, &pairs)?;
     }
 }

@@ -19,9 +19,10 @@
 //! (estimate requests carrying an observed `"sel"`): each one is
 //! appended to a write-ahead log in DIR before it is acknowledged, the
 //! online model learns from it, and every `--checkpoint-every` records a
-//! checkpoint is cut and a frozen snapshot hot-swapped into the serving
-//! slot. On restart the store recovers (newest valid checkpoint + WAL
-//! tail replay) and prints a machine-readable `{"recovered":…}` line;
+//! checkpoint is cut and the online model itself, in the frozen layout,
+//! hot-swapped into the serving slot. On restart the store recovers
+//! (newest valid checkpoint + WAL tail replay) and prints a
+//! machine-readable `{"recovered":…}` line;
 //! `--rollback GEN` rewinds to a retained generation before serving.
 
 mod common;
@@ -190,8 +191,8 @@ fn main() {
         // Serve what the store learned, not the stale base artifact —
         // the base model only seeds a store with no history.
         if store.model().observations() > 0 {
-            match store.model().clone().freeze() {
-                Ok(batch) => model = Arc::new(batch.freeze()),
+            match store.model().freeze() {
+                Ok(quad) => model = Arc::new(quad.freeze()),
                 Err(e) => {
                     eprintln!("warning: cannot freeze recovered model, serving the base model: {e}");
                 }

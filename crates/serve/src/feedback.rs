@@ -6,10 +6,11 @@
 //! is the production sink: it serializes observations through a
 //! [`ModelStore`] (log-before-observe, so the ack LSN it returns is a
 //! real durability token), cuts a checkpoint every `checkpoint_every`
-//! acknowledged records, and hot-swaps a **frozen** snapshot of the
-//! online model into the [`ModelRegistry`] at each checkpoint so the
-//! estimate hot path keeps serving pointer-free artifacts while the
-//! online model keeps learning behind it.
+//! acknowledged records, and at each checkpoint hot-swaps the online
+//! model itself, in the **frozen** layout, into the [`ModelRegistry`], so
+//! the estimate hot path keeps serving pointer-free artifacts while the
+//! online model keeps learning behind it, and serves exactly what the
+//! checkpoint persists.
 //!
 //! Failure policy, deliberately asymmetric:
 //!
@@ -144,13 +145,15 @@ impl DurableFeedback {
             .unwrap_or_else(PoisonError::into_inner) = Some(e);
     }
 
-    /// Freezes the current online model and hot-swaps it under the
-    /// registry name. A freeze (final refit) failure keeps the previous
-    /// serving model — estimates merely stay one checkpoint stale.
+    /// Hot-swaps the online model's own layout — its current partition
+    /// and weights, no refit and no batch fit — under the registry name,
+    /// so the server answers exactly what the store persists. A freeze
+    /// failure keeps the previous serving model — estimates merely stay
+    /// one checkpoint stale.
     fn swap_frozen(&self, store: &ModelStore) {
-        match store.model().clone().freeze() {
-            Ok(batch) => {
-                let next: SharedEstimator = Arc::new(batch.freeze());
+        match store.model().freeze() {
+            Ok(quad) => {
+                let next: SharedEstimator = Arc::new(quad.freeze());
                 if self.registry.swap(&self.model_name, next) {
                     selearn_obs::counter_add("serve.feedback_swaps", 1);
                 }

@@ -1,17 +1,19 @@
 //! In-process soak and behavior tests for the serving layer: a real
 //! server on a real localhost socket, driven by the crate's own client.
 
-use selearn_core::{SelectivityEstimator, SharedEstimator};
+use selearn_core::{SelearnError, SelectivityEstimator, SharedEstimator, TrainingQuery};
 use selearn_geom::{Range, Rect};
 use selearn_serve::synth::{
     synthetic_mixed_model, synthetic_mixed_requests, synthetic_model, synthetic_requests,
     synthetic_selectivity, synthetic_shape_selectivity,
 };
 use selearn_serve::{
-    run_load, start, start_with_feedback, Client, DegradeReason, DurableFeedback, FeedbackSink,
-    LoadOptions, ModelRegistry, Request, Response, ServerConfig, ShapeKind, DEFAULT_MODEL,
+    run_load, start, start_with_feedback, Client, DegradeReason, DurableFeedback, FeedbackAck,
+    FeedbackSink, LoadOptions, ModelRegistry, Request, Response, ServerConfig, ShapeKind,
+    DEFAULT_MODEL,
 };
 use selearn_store::{ModelStore, StoreConfig};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -386,6 +388,111 @@ fn open_loop_load_reports_latency() {
     assert!(report.percentile_us(0.5) > 0.0);
     assert!(report.percentile_us(0.99) >= report.percentile_us(0.5));
     handle.shutdown();
+}
+
+/// Forwards to a [`DurableFeedback`] and remembers whether any ack
+/// reported a registry swap.
+struct SwapWatch {
+    inner: Arc<DurableFeedback>,
+    swapped: AtomicBool,
+}
+
+impl FeedbackSink for SwapWatch {
+    fn observe(&self, feedback: TrainingQuery) -> Result<FeedbackAck, SelearnError> {
+        let ack = self.inner.observe(feedback)?;
+        if ack.swapped {
+            self.swapped.store(true, Ordering::SeqCst);
+        }
+        Ok(ack)
+    }
+}
+
+#[test]
+fn served_answers_are_the_store_models_after_a_swap() {
+    // The durable server must answer from the model its store persists
+    // and recovers: after a checkpoint swap, every uncached answer is the
+    // store's online model's estimate, bit for bit, for every shape.
+    let dir = std::env::temp_dir().join(format!("selearn-served-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store_config = StoreConfig::new(Rect::unit(2));
+    store_config.refit_every = 16;
+    store_config.history_cap = 256;
+    store_config.quadhist.max_leaves = 64;
+    let (model, root) = synthetic_model(2, 200, 11).expect("synthetic fit");
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register(DEFAULT_MODEL, Arc::new(model), root);
+    let store = ModelStore::open(&dir, store_config).expect("open store");
+    // A checkpoint every 40 records: two refits, then 8 records of
+    // interim weights, so the swapped model is not a fresh refit.
+    let durable = Arc::new(DurableFeedback::new(
+        store,
+        Arc::clone(&registry),
+        DEFAULT_MODEL,
+        40,
+    ));
+    let watch = Arc::new(SwapWatch {
+        inner: Arc::clone(&durable),
+        swapped: AtomicBool::new(false),
+    });
+    let config = ServerConfig {
+        deadline: Duration::ZERO,
+        ..ServerConfig::default()
+    };
+    let handle = start_with_feedback(
+        config,
+        Arc::clone(&registry),
+        Some(Arc::clone(&watch) as Arc<dyn FeedbackSink>),
+    )
+    .expect("start");
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+
+    let mut sent = 0u64;
+    while !watch.swapped.load(Ordering::SeqCst) {
+        assert!(sent < 1000, "no ack reported a swap");
+        let a = (sent % 37) as f64 / 37.0;
+        let b = (sent % 23) as f64 / 23.0;
+        let lo = vec![a * 0.6, b * 0.55];
+        let hi = vec![(a * 0.6 + 0.3).min(1.0), (b * 0.55 + 0.35).min(1.0)];
+        let sel = synthetic_selectivity(&lo, &hi);
+        let fb = selearn_serve::Feedback::rect(DEFAULT_MODEL, lo, hi, sel, Some(sent));
+        let resp = client.feedback(&fb).expect("feedback");
+        assert!(matches!(resp, Response::Ack { .. }), "feedback got {resp:?}");
+        sent += 1;
+    }
+
+    let mut checked = [0usize; 3];
+    for req in synthetic_mixed_requests(2, 90, 41) {
+        let resp = client.call(&req).expect("estimate");
+        let Response::Estimate {
+            sel,
+            degraded,
+            cached,
+            ..
+        } = resp
+        else {
+            panic!("expected estimate, got {resp:?}");
+        };
+        assert_eq!(degraded, None);
+        if cached {
+            continue;
+        }
+        let range = req.shape.to_range().expect("valid shape");
+        let want = durable.store().model().estimate(&range).clamp(0.0, 1.0);
+        assert_eq!(
+            sel.to_bits(),
+            want.to_bits(),
+            "{} served {sel}, store model says {want}",
+            req.shape.kind().as_str()
+        );
+        checked[req.shape.kind() as usize] += 1;
+    }
+    assert!(checked.iter().all(|&n| n > 0), "uncached answers per shape: {checked:?}");
+
+    handle.shutdown();
+    drop(client);
+    drop(watch);
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -38,7 +38,6 @@ pub mod csr;
 pub mod error;
 pub mod fista;
 pub mod ipf;
-pub mod isotonic;
 pub mod linf;
 pub mod linprog;
 pub mod matrix;
@@ -50,7 +49,6 @@ pub use csr::CsrMatrix;
 pub use error::SolverError;
 pub use fista::{fista_simplex_ls, FistaOptions, FistaResult};
 pub use ipf::{ipf_max_entropy, IpfOptions, IpfResult};
-pub use isotonic::{isotonic_regression, isotonic_regression_unweighted};
 pub use linf::{linf_fit_exact, linf_fit_smoothed, linf_fit_smoothed_with_report, LinfOptions};
 pub use linprog::{linprog, Constraint, ConstraintOp, LpResult, LpStatus};
 pub use matrix::DenseMatrix;

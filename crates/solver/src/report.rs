@@ -10,8 +10,7 @@
 /// Terminal summary of one iterative solve call.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolveReport {
-    /// Solver identifier (`"nnls"`, `"fista"`, `"ipf"`, `"linf-smoothed"`,
-    /// `"isotonic"`).
+    /// Solver identifier (`"nnls"`, `"fista"`, `"ipf"`, `"linf-smoothed"`).
     pub solver: &'static str,
     /// Iterations actually performed.
     pub iters: usize,

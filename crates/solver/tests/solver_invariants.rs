@@ -2,13 +2,12 @@
 //!
 //! These are the contracts the estimation pipeline (Equation 8) leans on:
 //! the simplex projection really lands on the simplex and is idempotent,
-//! both simplex-constrained least-squares solvers return distributions,
-//! and isotonic regression returns the monotone mean-preserving projection.
+//! and both simplex-constrained least-squares solvers return distributions.
 
 use proptest::prelude::*;
 use selearn_solver::{
-    fista_simplex_ls, isotonic_regression, nnls_simplex, simplex_projection, CsrMatrix,
-    DenseMatrix, FistaOptions, NnlsOptions,
+    fista_simplex_ls, nnls_simplex, simplex_projection, CsrMatrix, DenseMatrix, FistaOptions,
+    NnlsOptions,
 };
 
 const MAX_ROWS: usize = 12;
@@ -71,22 +70,5 @@ proptest! {
         let a = matrix_from(&entries, r, c);
         let w = nnls_simplex(&a, &s_pool[..r], &NnlsOptions::default()).unwrap();
         assert_on_simplex(&w, c)?;
-    }
-
-    #[test]
-    fn isotonic_regression_monotone_and_mean_preserving(
-        y in proptest::collection::vec(-10.0f64..10.0, 1..50),
-        w_pool in proptest::collection::vec(0.1f64..5.0, 50),
-    ) {
-        let w = &w_pool[..y.len()];
-        let g = isotonic_regression(&y, w).unwrap();
-        prop_assert_eq!(g.len(), y.len());
-        for pair in g.windows(2) {
-            prop_assert!(pair[0] <= pair[1] + 1e-9, "not monotone: {pair:?}");
-        }
-        // the projection preserves the weighted mean
-        let wy: f64 = y.iter().zip(w).map(|(a, b)| a * b).sum();
-        let wg: f64 = g.iter().zip(w).map(|(a, b)| a * b).sum();
-        prop_assert!((wy - wg).abs() < 1e-8, "weighted mean moved: {wy} vs {wg}");
     }
 }

@@ -118,9 +118,9 @@ pub mod prelude {
     pub use selearn_baselines::{Isomer, IsomerConfig, QuickSel, QuickSelConfig, UniformBaseline};
     pub use crate::predicate::parse_predicate;
     pub use selearn_core::{
-        ArrangementHist, ArrangementHistConfig, Cdf1D, Cdf1DConfig, FrozenEstimator, GaussHist,
-        GaussHistConfig, Objective, OnlineQuadHist, PtsHist, PtsHistConfig, QuadHist,
-        QuadHistConfig, SelearnError, SelectivityEstimator, TrainingQuery, WeightSolver,
+        ArrangementHist, ArrangementHistConfig, FrozenEstimator, GaussHist, GaussHistConfig,
+        Objective, OnlineQuadHist, PtsHist, PtsHistConfig, QuadHist, QuadHistConfig,
+        SelearnError, SelectivityEstimator, TrainingQuery, WeightSolver,
     };
     pub use selearn_data::{
         census_like, dmv_like, forest_like, power_like, CenterDistribution, Dataset, QueryType,

@@ -110,7 +110,7 @@ fn ptshist_weights_are_pinned() {
 }
 
 #[test]
-fn online_quadhist_refits_and_freeze_are_pinned() {
+fn online_quadhist_refits_are_pinned() {
     let train = workload(160, 3);
     let got = golden(|| {
         let mut m = OnlineQuadHist::new(Rect::unit(2), QuadHistConfig::with_tau(0.005), 64)
@@ -120,11 +120,10 @@ fn online_quadhist_refits_and_freeze_are_pinned() {
         for q in &train {
             m.observe(q.clone()).unwrap();
         }
-        let frozen = m.freeze().unwrap();
-        frozen.buckets().into_iter().map(|(_, w)| w).collect()
+        m.snapshot().node_weight
     });
-    assert_eq!(got.1.len(), 4, "two refits, freeze's refit and its fit");
-    check("online-quadhist", got, 0x9449_8bd9_4cc2_a8f4);
+    assert_eq!(got.1.len(), 2, "two refits");
+    check("online-quadhist refits", got, 0x583c_1b7f_098e_b8f7);
 }
 
 #[test]
@@ -258,4 +257,20 @@ fn online_quadhist_estimates_are_pinned() {
     check_estimates("online-quadhist interim", got[0], 0xed20_f9e3_b0bc_99e9);
     check_estimates("online-quadhist refit", got[1], 0x03d9_a933_00bd_a60c);
     check_estimates("online-quadhist refit+interim", got[2], 0xebc2_7f11_4587_6a24);
+
+    // freeze hands out the live model itself: no solve, the same bits
+    let sink = Arc::new(MemorySink::new());
+    selearn_obs::set_sink(sink.clone());
+    let frozen = m.freeze().unwrap();
+    selearn_obs::clear_sink();
+    let solved = sink
+        .take()
+        .iter()
+        .any(|e| matches!(e, Event::SolverReport { .. }));
+    assert!(!solved, "freeze must not solve");
+    check_estimates(
+        "online-quadhist freeze",
+        estimate_hash(&frozen.freeze(), &probes),
+        0xebc2_7f11_4587_6a24,
+    );
 }
