@@ -1,9 +1,11 @@
 //! Model-restore benchmarks: `QuadHist::from_buckets` rebuilds a trained
-//! model from its persisted bucket list. The restore path indexes buckets
-//! by their integer lattice key (depth + per-dim cell index), making the
-//! rebuild O(n log n); the pre-index strategy — linear corner-matching
-//! scans per leaf — is reproduced here as the baseline so the ~n²/n
-//! separation stays visible in bench history.
+//! model from its persisted bucket list in one keyed pass. Each bucket is
+//! keyed once by its integer lattice key (depth + per-dim cell index),
+//! then the tree is grown top-down, each node looking its own key up, so
+//! the rebuild is linear in the bucket count up to hashing. The
+//! pre-index strategy — a linear corner-matching scan per leaf — is
+//! reproduced here as the baseline so the ~n²/n separation stays visible
+//! in bench history.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use selearn_core::{QuadHist, SelectivityEstimator};

@@ -14,14 +14,12 @@
 //! leaves inherit their parent's mass proportionally to volume, so
 //! estimates remain a valid distribution at all times.
 
-use crate::assemble::assemble_design_matrix;
 use crate::error::SelearnError;
 use crate::estimator::{SelectivityEstimator, TrainingQuery};
 use crate::frozen::{FrozenEstimator, FrozenQuad};
-use crate::quadhist::{update_quad, QuadHist, QuadHistConfig};
+use crate::quadhist::{solve_leaf_weights, update_quad, QuadHist, QuadHistConfig};
 use crate::quadtree::{QuadTree, ROOT};
-use crate::weights::estimate_weights;
-use selearn_geom::{Range, RangeQuery, Rect, EPS};
+use selearn_geom::{Range, Rect, EPS};
 use std::collections::VecDeque;
 
 /// The complete mutable state of an [`OnlineQuadHist`], captured by
@@ -193,44 +191,23 @@ impl OnlineQuadHist {
     }
 
     /// Re-runs the weight-estimation phase (Equation 8) over the retained
-    /// feedback window on the current partition. Matrix assembly goes
-    /// through [`crate::assemble`], so it picks up the parallel row-build
-    /// path under the `parallel` feature, and per-leaf volumes come from
-    /// the node-volume cache instead of being recomputed per row.
+    /// feedback window on the current partition, through the same leaf
+    /// solve [`QuadHist::fit`] runs, with per-leaf volumes read from the
+    /// node-volume cache.
     ///
     /// On a solver error the interim (still distribution-valid) weights
     /// are kept and the error is returned.
     pub fn refit(&mut self) -> Result<(), SelearnError> {
         let _span = selearn_obs::span!("refit.online");
         self.observed_since_refit = 0;
-        let leaves = self.tree.leaves();
-        if leaves.is_empty() || self.history.is_empty() {
+        if self.history.is_empty() {
             return Ok(());
         }
         let window = self.history.make_contiguous();
-        let tree = &self.tree;
         let node_volume = &self.node_volume;
-        let volume = &self.config.volume;
-        let a = assemble_design_matrix(window, leaves.len(), |q| {
-            leaves
-                .iter()
-                .map(|&leaf| {
-                    let cv = node_volume[leaf];
-                    if cv <= EPS {
-                        0.0
-                    } else {
-                        (q.range.intersection_volume(tree.rect(leaf), volume) / cv)
-                            .clamp(0.0, 1.0)
-                    }
-                })
-                .collect()
-        });
-        let s: Vec<f64> = window.iter().map(|q| q.selectivity).collect();
-        let w = estimate_weights(&a, &s, &self.config.objective, &self.config.solver)?;
-        self.node_weight = vec![0.0; self.tree.num_nodes()];
-        for (k, &leaf) in leaves.iter().enumerate() {
-            self.node_weight[leaf] = w[k];
-        }
+        let (node_weight, _) =
+            solve_leaf_weights(&self.tree, |leaf| node_volume[leaf], window, &self.config)?;
+        self.node_weight = node_weight;
         Ok(())
     }
 

@@ -100,20 +100,50 @@ pub fn save_quadhist<W: Write>(model: &QuadHist, mut w: W) -> Result<(), Persist
     Ok(())
 }
 
+/// Reads the whole model file. Every loader parses the text in one pass
+/// over borrowed lines.
+fn read_text<R: BufRead>(mut r: R) -> Result<String, PersistError> {
+    let mut text = String::new();
+    r.read_to_string(&mut text)?;
+    Ok(text)
+}
+
+fn next_line<'a>(lines: &mut std::str::Lines<'a>) -> Result<&'a str, PersistError> {
+    lines
+        .next()
+        .ok_or_else(|| PersistError::Format("unexpected end of file".into()))
+}
+
+/// Decodes the whitespace-separated hex fields of `line`, which must
+/// number exactly `want`. Room is reserved from the line's length, never
+/// from `want` alone, which comes from the file's own header.
+fn fields(line: &str, want: usize, what: &str) -> Result<Vec<f64>, PersistError> {
+    let mut out = Vec::with_capacity(want.min(line.len()));
+    for tok in line.split_whitespace() {
+        if out.len() == want {
+            return bad(format!("{what} has more than {want} fields"));
+        }
+        out.push(dec(tok)?);
+    }
+    if out.len() != want {
+        return bad(format!("{what} has {} fields, expected {want}", out.len()));
+    }
+    Ok(out)
+}
+
 /// Reads the preamble both model files share: the magic, the
 /// `<family> <d>` header, the root line and the `<count_tag> <n>` line.
 /// Returns `(d, root, n)`. `n` is only a claim of the file's: callers
 /// read that many lines without reserving room for them first.
-fn read_preamble<I: Iterator<Item = io::Result<String>>>(
-    lines: &mut I,
+fn read_preamble(
+    lines: &mut std::str::Lines<'_>,
     family: &str,
     count_tag: &str,
 ) -> Result<(usize, Rect, usize), PersistError> {
     if next_line(lines)? != MAGIC {
         return bad("missing magic header");
     }
-    let header = next_line(lines)?;
-    let mut it = header.split_whitespace();
+    let mut it = next_line(lines)?.split_whitespace();
     if it.next() != Some(family) {
         return bad(format!("expected '{family}' section"));
     }
@@ -121,7 +151,7 @@ fn read_preamble<I: Iterator<Item = io::Result<String>>>(
         .next()
         .and_then(|v| v.parse().ok())
         .ok_or_else(|| PersistError::Format("bad dimension".into()))?;
-    let root = parse_rect_line(&next_line(lines)?, "root", d)?;
+    let root = parse_rect_line(next_line(lines)?, "root", d)?;
     let n: usize = next_line(lines)?
         .strip_prefix(count_tag)
         .and_then(|v| v.strip_prefix(' '))
@@ -130,39 +160,32 @@ fn read_preamble<I: Iterator<Item = io::Result<String>>>(
     Ok((d, root, n))
 }
 
-fn next_line<I: Iterator<Item = io::Result<String>>>(
-    lines: &mut I,
-) -> Result<String, PersistError> {
-    match lines.next() {
-        Some(l) => Ok(l?),
-        None => bad("unexpected end of file"),
+fn read_trailer(lines: &mut std::str::Lines<'_>) -> Result<(), PersistError> {
+    if next_line(lines)? != "end" {
+        return bad("missing trailer");
     }
+    Ok(())
 }
 
 /// Deserializes a QuadHist (with the default volume backend).
 pub fn load_quadhist<R: BufRead>(r: R) -> Result<QuadHist, PersistError> {
-    let mut lines = r.lines();
+    parse_quadhist(&read_text(r)?)
+}
+
+fn parse_quadhist(text: &str) -> Result<QuadHist, PersistError> {
+    let mut lines = text.lines();
     let (d, root, n) = read_preamble(&mut lines, "quadhist", "buckets")?;
     let mut buckets = Vec::new();
     for _ in 0..n {
-        let line = next_line(&mut lines)?;
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        if toks.len() != 2 * d + 1 {
-            return bad(format!("bucket line has {} fields", toks.len()));
-        }
-        let lo: Vec<f64> = toks[..d].iter().map(|t| dec(t)).collect::<Result<_, _>>()?;
-        let hi: Vec<f64> = toks[d..2 * d]
-            .iter()
-            .map(|t| dec(t))
-            .collect::<Result<_, _>>()?;
-        let weight = dec(toks[2 * d])?;
+        // `2·d` fits: the root line held that many fields
+        let mut lo = fields(next_line(&mut lines)?, 2 * d + 1, "bucket line")?;
+        let weight = lo.pop().unwrap_or_default();
+        let hi = lo.split_off(d);
         let rect = Rect::try_new(lo, hi)
             .map_err(|e| PersistError::Format(format!("bad bucket box: {e}")))?;
         buckets.push((rect, weight));
     }
-    if next_line(&mut lines)? != "end" {
-        return bad("missing trailer");
-    }
+    read_trailer(&mut lines)?;
     QuadHist::from_buckets(root, &buckets, VolumeEstimator::default())
         .map_err(|e| PersistError::Format(e.to_string()))
 }
@@ -195,49 +218,42 @@ pub fn save_ptshist<W: Write>(model: &PtsHist, mut w: W) -> Result<(), PersistEr
 
 /// Deserializes a PtsHist.
 pub fn load_ptshist<R: BufRead>(r: R) -> Result<PtsHist, PersistError> {
-    let mut lines = r.lines();
+    parse_ptshist(&read_text(r)?)
+}
+
+fn parse_ptshist(text: &str) -> Result<PtsHist, PersistError> {
+    let mut lines = text.lines();
     let (d, root, n) = read_preamble(&mut lines, "ptshist", "points")?;
     let mut points = Vec::new();
     let mut weights = Vec::new();
     for _ in 0..n {
-        let line = next_line(&mut lines)?;
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        if toks.len() != d + 1 {
-            return bad(format!("point line has {} fields", toks.len()));
-        }
-        let coords: Vec<f64> = toks[..d].iter().map(|t| dec(t)).collect::<Result<_, _>>()?;
+        let mut coords = fields(next_line(&mut lines)?, d + 1, "point line")?;
+        weights.push(coords.pop().unwrap_or_default());
         if let Some(c) = coords.iter().find(|c| !c.is_finite()) {
             return bad(format!("non-finite point coordinate {c}"));
         }
         points.push(Point::new(coords));
-        weights.push(dec(toks[d])?);
     }
-    if next_line(&mut lines)? != "end" {
-        return bad("missing trailer");
-    }
+    read_trailer(&mut lines)?;
     PtsHist::from_support(root, points, weights)
         .map_err(|e| PersistError::Format(e.to_string()))
 }
 
 /// Loads any supported model file and returns its pointer-free
 /// [`crate::frozen::FrozenEstimator`] — the restore path servers use. The
-/// layout the loader builds is moved out of the loaded model, not copied.
-/// The section header (`quadhist` / `ptshist`) selects the family.
-pub fn load_frozen<R: BufRead>(mut r: R) -> Result<crate::frozen::FrozenEstimator, PersistError> {
-    let mut text = String::new();
-    r.read_to_string(&mut text)?;
+/// file is read once and parsed by the family's own loader; the layout it
+/// builds is moved out of the loaded model, not copied. The section
+/// header (`quadhist` / `ptshist`) selects the family.
+pub fn load_frozen<R: BufRead>(r: R) -> Result<crate::frozen::FrozenEstimator, PersistError> {
+    let text = read_text(r)?;
     let mut lines = text.lines();
     if lines.next() != Some(MAGIC) {
         return bad("missing magic header");
     }
-    let family = lines
-        .next()
-        .and_then(|h| h.split_whitespace().next())
-        .unwrap_or("");
-    match family {
-        "quadhist" => Ok(load_quadhist(text.as_bytes())?.into_frozen()),
-        "ptshist" => Ok(load_ptshist(text.as_bytes())?.into_frozen()),
-        other => bad(format!("unknown model family '{other}'")),
+    match lines.next().and_then(|h| h.split_whitespace().next()) {
+        Some("quadhist") => Ok(parse_quadhist(&text)?.into_frozen()),
+        Some("ptshist") => Ok(parse_ptshist(&text)?.into_frozen()),
+        other => bad(format!("unknown model family '{}'", other.unwrap_or(""))),
     }
 }
 
@@ -245,18 +261,11 @@ fn parse_rect_line(line: &str, tag: &str, d: usize) -> Result<Rect, PersistError
     let rest = line
         .strip_prefix(tag)
         .ok_or_else(|| PersistError::Format(format!("expected '{tag}' line")))?;
-    let toks: Vec<&str> = rest.split_whitespace().collect();
     let Some(want) = d.checked_mul(2) else {
         return bad(format!("dimension {d} is too large"));
     };
-    if toks.len() != want {
-        return bad(format!(
-            "{tag} line has {} coords, expected {want}",
-            toks.len()
-        ));
-    }
-    let lo: Vec<f64> = toks[..d].iter().map(|t| dec(t)).collect::<Result<_, _>>()?;
-    let hi: Vec<f64> = toks[d..].iter().map(|t| dec(t)).collect::<Result<_, _>>()?;
+    let mut lo = fields(rest, want, &format!("{tag} line"))?;
+    let hi = lo.split_off(d);
     Rect::try_new(lo, hi).map_err(|e| PersistError::Format(format!("bad {tag} box: {e}")))
 }
 

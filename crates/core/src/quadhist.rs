@@ -16,10 +16,11 @@ use crate::assemble::assemble_design_matrix;
 use crate::error::SelearnError;
 use crate::estimator::{SelectivityEstimator, TrainingQuery};
 use crate::frozen::{FrozenEstimator, FrozenQuad};
-use crate::quadtree::{cell_key, cells_match, CellKey, NodeId, QuadTree, ROOT};
+use crate::quadtree::{NodeId, QuadTree, ROOT};
 use crate::weights::{estimate_weights_with_report, Objective, WeightSolver};
 use selearn_geom::{Range, RangeQuery, Rect, VolumeEstimator, EPS};
 use selearn_solver::SolveReport;
+use std::collections::HashMap;
 
 /// QuadHist configuration.
 #[derive(Clone, Debug)]
@@ -238,38 +239,8 @@ impl QuadHist {
         queries: &[TrainingQuery],
         config: &QuadHistConfig,
     ) -> Result<Self, SelearnError> {
-
-        // Phase 2: weight estimation (Equation 8) over the leaf buckets.
-        // Each design-matrix row is a pure function of one query and the
-        // frozen leaf layout, so assembly parallelizes across queries.
-        let leaves = tree.leaves();
-        let a = assemble_design_matrix(queries, leaves.len(), |q| {
-            let mut row = Vec::with_capacity(leaves.len());
-            for &leaf in &leaves {
-                let cell = tree.rect(leaf);
-                let cv = cell.volume();
-                let frac = if cv <= EPS {
-                    0.0
-                } else {
-                    q.range.intersection_volume(cell, &config.volume) / cv
-                };
-                row.push(frac.clamp(0.0, 1.0));
-            }
-            row
-        });
-        let s: Vec<f64> = queries.iter().map(|q| q.selectivity).collect();
-        let (w, solve_report) = if leaves.is_empty() {
-            (Vec::new(), None)
-        } else if a.rows() == 0 {
-            (vec![1.0 / leaves.len() as f64; leaves.len()], None)
-        } else {
-            estimate_weights_with_report(&a, &s, &config.objective, &config.solver)?
-        };
-
-        let mut node_weight = vec![0.0; tree.num_nodes()];
-        for (k, &leaf) in leaves.iter().enumerate() {
-            node_weight[leaf] = w[k];
-        }
+        let (node_weight, solve_report) =
+            solve_leaf_weights(&tree, |leaf| tree.rect(leaf).volume(), queries, config)?;
         Ok(Self::new(tree, node_weight, config.volume.clone(), solve_report))
     }
 
@@ -282,19 +253,26 @@ impl QuadHist {
     /// pairs as produced by [`QuadHist::buckets`]) — the inverse used when
     /// loading persisted models.
     ///
-    /// Every cell of a quadtree partition is uniquely identified by its
-    /// depth plus its integer lattice position within the root, so the
-    /// bucket list is indexed by that key once (`O(n)`) and each
-    /// reconstructed leaf is looked up in `O(1)` — restoring the
-    /// 10k-bucket models of Figure 9 used to take a quadratic `find` scan
-    /// per leaf. Matching tolerates coordinate error up to a small
-    /// fraction of the cell width plus an absolute term scaled by the
-    /// root's coordinate magnitude, so dumps written with decimal-rounded
-    /// coordinates load on any domain scale (a `[0, 1e9]` CSV domain as
-    /// well as sub-1e-9 cells of the unit cube).
+    /// Every cell of a quadtree partition is identified by its depth plus
+    /// its integer lattice position within the root, so the restore is
+    /// one keyed pass: each bucket is keyed once, then the tree is grown
+    /// top-down from the root, every node carrying the key its parent's
+    /// key and split mask give it. A node keyed by a bucket becomes that
+    /// bucket's leaf once its split-derived box matches the bucket's
+    /// corners; any other node is split. Children are pushed in mask
+    /// order and popped last-in-first-out, which fixes the arena order,
+    /// and so the order of [`QuadHist::buckets`] and of the file
+    /// [`crate::persist::save_quadhist`] writes. Matching tolerates
+    /// coordinate error up to a small fraction of the cell width plus an
+    /// absolute term scaled by the root's coordinate magnitude, so dumps
+    /// written with decimal-rounded coordinates load on any domain scale
+    /// (a `[0, 1e9]` CSV domain as well as sub-1e-9 cells of the unit
+    /// cube).
     ///
     /// Returns [`SelearnError::CorruptModel`] if the boxes do not form a
-    /// quadtree partition of `root` or carry non-finite weights.
+    /// quadtree partition of `root` (an off-lattice or duplicate box, a
+    /// hole, a box at an internal position, a `2^d` fanout that overflows
+    /// or exceeds the bucket count) or carry non-finite weights.
     pub fn from_buckets(
         root: Rect,
         buckets: &[(Rect, f64)],
@@ -323,50 +301,85 @@ impl QuadHist {
                 ),
             });
         }
-        let leaf_boxes: Vec<Rect> = buckets.iter().map(|(r, _)| r.clone()).collect();
-        let tree = QuadTree::from_leaf_boxes(root, &leaf_boxes)?;
-        let mut node_weight = vec![0.0; tree.num_nodes()];
-        let leaves = tree.leaves();
-        if leaves.len() != buckets.len() {
-            return Err(SelearnError::CorruptModel {
-                what: format!(
-                    "bucket list does not match the reconstructed partition \
-                     ({} buckets, {} leaves)",
-                    buckets.len(),
-                    leaves.len()
-                ),
-            });
-        }
-        let root_rect = tree.rect(ROOT).clone();
-        let mut index: std::collections::HashMap<CellKey, usize> =
-            std::collections::HashMap::with_capacity(buckets.len());
+        let d = root.dim();
+        let fanout = u32::try_from(d)
+            .ok()
+            .and_then(|d| 1usize.checked_shl(d))
+            .ok_or_else(|| SelearnError::CorruptModel {
+                what: format!("dimension {d} overflows the 2^d fanout"),
+            })?;
+        let mut index: HashMap<CellKey, usize> = HashMap::with_capacity(buckets.len());
+        let mut max_depth = 0u32;
         for (i, (r, _)) in buckets.iter().enumerate() {
-            let Some(key) = cell_key(&root_rect, r) else {
+            let Some(key) = cell_key(&root, r) else {
                 return Err(SelearnError::CorruptModel {
                     what: format!("bucket {i} ({r:?}) is not a quadtree cell of the root"),
                 });
             };
+            max_depth = max_depth.max(key.0);
             if index.insert(key, i).is_some() {
                 return Err(SelearnError::CorruptModel {
                     what: format!("bucket {i} ({r:?}) duplicates another bucket's cell"),
                 });
             }
         }
-        for &leaf in &leaves {
-            let cell = tree.rect(leaf);
-            let matched = cell_key(&root_rect, cell)
-                .and_then(|key| index.get(&key))
-                .filter(|&&i| cells_match(&root_rect, &buckets[i].0, cell));
-            let Some(&i) = matched else {
+        let mut tree = QuadTree::new(root);
+        let mut node_weight = vec![0.0];
+        let mut matched = 0usize;
+        let mut stack: Vec<(NodeId, CellKey)> = vec![(ROOT, (0, vec![0; d]))];
+        while let Some((id, key)) = stack.pop() {
+            if let Some(&i) = index.get(&key) {
+                let (cell, w) = &buckets[i];
+                if !cells_match(tree.rect(ROOT), cell, tree.rect(id)) {
+                    return Err(SelearnError::CorruptModel {
+                        what: format!("bucket {i} ({cell:?}) is off its cell {:?}", tree.rect(id)),
+                    });
+                }
+                node_weight[id] = *w;
+                matched += 1;
+                continue;
+            }
+            if key.0 >= max_depth {
                 return Err(SelearnError::CorruptModel {
-                    what: format!("reconstructed leaf {cell:?} missing from the dump"),
+                    what: format!("no bucket covers the cell {:?}", tree.rect(id)),
                 });
-            };
-            node_weight[leaf] = buckets[i].1;
+            }
+            // Leaves only grow, and each ends up one distinct bucket, so a
+            // split past the bucket count cannot lead to a partition. This
+            // bounds the tree at O(buckets) nodes, and a lone bucket, or a
+            // `2^d` above the bucket count, never splits the root.
+            if tree.num_leaves() + fanout - 1 > buckets.len() {
+                return Err(SelearnError::CorruptModel {
+                    what: format!(
+                        "{} buckets cannot partition a root of fanout 2^{d}",
+                        buckets.len()
+                    ),
+                });
+            }
+            let first = tree.split(id);
+            node_weight.resize(tree.num_nodes(), 0.0);
+            let (depth, lattice) = key;
+            for mask in 0..fanout {
+                let child = lattice
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &i)| 2 * i + (mask as u64 >> k & 1))
+                    .collect();
+                stack.push((first + mask, (depth + 1, child)));
+            }
         }
-        // Free the lookup copies before the frozen layout is built, so
-        // restore peaks at the larger of the two phases, not their sum.
-        drop((leaf_boxes, index));
+        if matched != buckets.len() {
+            return Err(SelearnError::CorruptModel {
+                what: format!(
+                    "{} of {} buckets are not leaves of the partition",
+                    buckets.len() - matched,
+                    buckets.len()
+                ),
+            });
+        }
+        // Free the index before the frozen layout is built, so restore
+        // peaks at the larger of the two phases, not their sum.
+        drop(index);
         Ok(Self::new(tree, node_weight, volume, None))
     }
 
@@ -392,6 +405,109 @@ impl QuadHist {
             .map(|l| (self.tree.rect(l).clone(), self.node_weight[l]))
             .collect()
     }
+}
+
+/// Equation 8 over the leaves of a quadtree partition: solves one weight
+/// per leaf against `queries` and returns them per node id (zero at
+/// internal nodes), with the solver's report. Row `q` holds, per leaf in
+/// arena order, the covered fraction `vol(q ∩ leaf) / vol(leaf)` clamped
+/// to `[0, 1]`, or 0 for a leaf of volume `≤ EPS`. `leaf_volume` is read
+/// once per leaf, not once per row. Each row is a pure function of one
+/// query and the fixed leaf layout, so assembly parallelizes across
+/// queries.
+pub(crate) fn solve_leaf_weights(
+    tree: &QuadTree,
+    leaf_volume: impl Fn(NodeId) -> f64,
+    queries: &[TrainingQuery],
+    config: &QuadHistConfig,
+) -> Result<(Vec<f64>, Option<SolveReport>), SelearnError> {
+    let leaves = tree.leaves();
+    let cells: Vec<(&Rect, f64)> = leaves
+        .iter()
+        .map(|&leaf| (tree.rect(leaf), leaf_volume(leaf)))
+        .collect();
+    let a = assemble_design_matrix(queries, cells.len(), |q| {
+        cells
+            .iter()
+            .map(|&(cell, cv)| {
+                if cv <= EPS {
+                    0.0
+                } else {
+                    (q.range.intersection_volume(cell, &config.volume) / cv).clamp(0.0, 1.0)
+                }
+            })
+            .collect()
+    });
+    let s: Vec<f64> = queries.iter().map(|q| q.selectivity).collect();
+    let (w, solve_report) =
+        estimate_weights_with_report(&a, &s, &config.objective, &config.solver)?;
+    let mut node_weight = vec![0.0; tree.num_nodes()];
+    for (&leaf, w) in leaves.iter().zip(w) {
+        node_weight[leaf] = w;
+    }
+    Ok((node_weight, solve_report))
+}
+
+/// Identity of one quadtree cell: refinement depth plus the integer
+/// lattice position of its lower corner at that depth. Splits halve every
+/// dimension at once, so a cell at depth `k` has lower corner
+/// `root.lo[d] + i_d · root.width(d) / 2^k` with `i_d ∈ [0, 2^k)` — the
+/// pair `(k, i)` is a collision-free key for restore-time indexing.
+type CellKey = (u32, Vec<u64>);
+
+/// Deepest cell the restore index will key: beyond this the lattice
+/// arithmetic loses integer precision, and `update_quad`'s volume guard
+/// stops refinement far earlier anyway.
+const MAX_RESTORE_DEPTH: u32 = 60;
+
+/// Computes the [`CellKey`] of `cell` within `root`, or `None` when `cell`
+/// cannot be a quadtree cell of `root` (wrong dimension, width ratio not a
+/// power of two, or lower corner outside the root).
+fn cell_key(root: &Rect, cell: &Rect) -> Option<CellKey> {
+    if cell.dim() != root.dim() {
+        return None;
+    }
+    // Depth from the width ratio in the first non-degenerate dimension;
+    // degenerate (zero-width) dimensions stay zero-width at every depth.
+    let d_ref = (0..root.dim()).find(|&d| root.width(d) > 0.0)?;
+    let ratio = root.width(d_ref) / cell.width(d_ref);
+    if !ratio.is_finite() || ratio < 1.0 - 1e-6 {
+        return None;
+    }
+    let k = ratio.log2().round();
+    if !(0.0..=MAX_RESTORE_DEPTH as f64).contains(&k) {
+        return None;
+    }
+    let k = k as u32;
+    let cells = (1u64 << k) as f64;
+    let mut key = Vec::with_capacity(root.dim());
+    for d in 0..root.dim() {
+        let w = root.width(d);
+        if w <= 0.0 {
+            key.push(0);
+            continue;
+        }
+        let i = ((cell.lo()[d] - root.lo()[d]) / w * cells).round();
+        if !(0.0..cells).contains(&i) {
+            return None;
+        }
+        key.push(i as u64);
+    }
+    Some((k, key))
+}
+
+/// Verifies that two boxes sharing a [`CellKey`] really are the same cell,
+/// with a relative-or-absolute tolerance: a small fraction of the cell
+/// width (relative part, so deep sub-1e-9 cells of the unit cube are never
+/// cross-matched) plus a term scaled by the root's coordinate magnitude
+/// (absolute part, so decimal-rounded dumps of unnormalized domains like
+/// `[0, 1e9]` are not spuriously rejected).
+fn cells_match(root: &Rect, a: &Rect, b: &Rect) -> bool {
+    (0..root.dim()).all(|d| {
+        let scale = root.lo()[d].abs().max(root.hi()[d].abs());
+        let tol = 1e-6 * b.width(d) + 1e-12 * scale;
+        (a.lo()[d] - b.lo()[d]).abs() <= tol && (a.hi()[d] - b.hi()[d]).abs() <= tol
+    })
 }
 
 /// Algorithm 2 (UpdateQuad): recursively refine under a training query.
@@ -715,6 +831,56 @@ mod tests {
         let mut buckets = synthetic_buckets(&root, 16);
         buckets[1] = buckets[0].clone();
         let err = QuadHist::from_buckets(root, &buckets, VolumeEstimator::default());
+        assert!(matches!(err, Err(SelearnError::CorruptModel { .. })));
+    }
+
+    #[test]
+    fn restore_rejects_a_hole() {
+        let root = Rect::unit(2);
+        let mut buckets = synthetic_buckets(&root, 16);
+        buckets.remove(5);
+        let err = QuadHist::from_buckets(root, &buckets, VolumeEstimator::default());
+        assert!(matches!(err, Err(SelearnError::CorruptModel { .. })));
+    }
+
+    #[test]
+    fn restore_rejects_a_parent_beside_its_children() {
+        let root = Rect::unit(2);
+        let mut buckets = synthetic_buckets(&root, 16);
+        // every leaf is a depth-2 cell; list their depth-1 parent too
+        buckets.push((Rect::new(vec![0.0, 0.0], vec![0.5, 0.5]), 0.0));
+        let err = QuadHist::from_buckets(root, &buckets, VolumeEstimator::default());
+        assert!(matches!(err, Err(SelearnError::CorruptModel { .. })));
+    }
+
+    #[test]
+    fn restore_rejects_a_cell_off_by_a_fraction_of_its_width() {
+        // 0.3 of a cell width still rounds to the right lattice key, so
+        // only the corner check can catch it.
+        let root = Rect::unit(2);
+        let mut buckets = synthetic_buckets(&root, 16);
+        let (r, w) = buckets[3].clone();
+        let shift = 0.3 * r.width(0);
+        let lo: Vec<f64> = r.lo().iter().map(|&c| c + shift).collect();
+        let hi: Vec<f64> = r.hi().iter().map(|&c| c + shift).collect();
+        buckets[3] = (Rect::new(lo, hi), w);
+        let err = QuadHist::from_buckets(root, &buckets, VolumeEstimator::default());
+        assert!(matches!(err, Err(SelearnError::CorruptModel { .. })));
+    }
+
+    #[test]
+    fn restore_rejects_an_empty_bucket_list() {
+        let err = QuadHist::from_buckets(Rect::unit(2), &[], VolumeEstimator::default());
+        assert!(matches!(err, Err(SelearnError::CorruptModel { .. })));
+    }
+
+    #[test]
+    fn restore_rejects_a_single_deep_bucket_without_splitting() {
+        // One depth-3 cell of a 20-dimensional root: growing the tree
+        // towards it would allocate 2^20 children per level.
+        let cell = Rect::new(vec![0.0; 20], vec![0.125; 20]);
+        let err =
+            QuadHist::from_buckets(Rect::unit(20), &[(cell, 1.0)], VolumeEstimator::default());
         assert!(matches!(err, Err(SelearnError::CorruptModel { .. })));
     }
 

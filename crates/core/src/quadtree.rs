@@ -5,6 +5,13 @@
 //! (Section 3.2, third remark) that the quadtree "doubles up as a
 //! convenient data structure for speeding up" range operations: prediction
 //! walks it in its flattened form, [`crate::frozen`].
+//!
+//! A tree only ever grows by [`QuadTree::split`]: bucket design and
+//! online feedback split where queries are dense, and
+//! [`crate::QuadHist::from_buckets`] restores a dump by splitting
+//! towards its keyed cells in one pass. [`QuadTree::from_arena`] rebuilds
+//! a tree from its exact serialized node links instead, for durable
+//! snapshots of an online model.
 
 use crate::error::SelearnError;
 use selearn_geom::Rect;
@@ -189,156 +196,6 @@ impl QuadTree {
             .filter(|&i| self.is_leaf(i))
             .collect()
     }
-
-    /// Depth of a node (root = 0), computed from box widths; valid because
-    /// every split exactly halves each side.
-    pub fn depth(&self, id: NodeId) -> u32 {
-        let ratio = self.nodes[ROOT].rect.width(0) / self.nodes[id].rect.width(0);
-        ratio.log2().round() as u32
-    }
-
-    /// Reconstructs a tree from a valid quadtree leaf partition of `root`
-    /// (used when loading persisted models): every input box is reduced to
-    /// its [`cell_key`] — depth plus integer lattice position — and the
-    /// tree is grown top-down, splitting exactly the nodes whose key is
-    /// not in the leaf set. Keyed lookup makes reconstruction `O(n)` in
-    /// the node count (the previous per-node linear scan over the boxes
-    /// was `O(n²)` — a multi-second stall at the 10k-bucket scale Figure 9
-    /// sweeps to), and the lattice rounding tolerates coordinate error up
-    /// to half a cell on any domain scale, instead of the old absolute
-    /// epsilon that both rejected decimal-rounded dumps of large domains
-    /// and over-split near it.
-    ///
-    /// Returns [`SelearnError::CorruptModel`] if the boxes do not form a
-    /// quadtree partition of `root` (off-lattice box, covered hole, or a
-    /// box at an internal position).
-    pub fn from_leaf_boxes(root: Rect, leaves: &[Rect]) -> Result<Self, SelearnError> {
-        // A split makes 2^d children, so the fanout must fit a `usize` and
-        // a partition with more than one leaf has at least 2^d of them.
-        let d = root.dim();
-        let fanout = u32::try_from(d)
-            .ok()
-            .and_then(|d| 1usize.checked_shl(d))
-            .ok_or_else(|| SelearnError::CorruptModel {
-                what: format!("dimension {d} overflows the 2^d fanout"),
-            })?;
-        if leaves.len() > 1 && fanout > leaves.len() {
-            return Err(SelearnError::CorruptModel {
-                what: format!("{} boxes cannot partition a root of fanout 2^{d}", leaves.len()),
-            });
-        }
-        let mut tree = QuadTree::new(root);
-        if leaves.len() <= 1 {
-            return Ok(tree);
-        }
-        let root_rect = tree.rect(ROOT).clone();
-        let mut keys = std::collections::HashSet::with_capacity(leaves.len());
-        let mut max_depth = 0u32;
-        for (i, l) in leaves.iter().enumerate() {
-            let Some(key) = cell_key(&root_rect, l) else {
-                return Err(SelearnError::CorruptModel {
-                    what: format!("box {i} ({l:?}) is not a quadtree cell of the root"),
-                });
-            };
-            max_depth = max_depth.max(key.0);
-            keys.insert(key);
-        }
-        let dim = tree.dim();
-        let mut stack = vec![(ROOT, 0u32, vec![0u64; dim])];
-        while let Some((id, depth, lattice)) = stack.pop() {
-            if keys.contains(&(depth, lattice.clone())) {
-                continue; // realized one of the input boxes
-            }
-            if depth >= max_depth {
-                // inside a hole: no input box covers this cell
-                return Err(SelearnError::CorruptModel {
-                    what: "leaf boxes do not form a quadtree partition".into(),
-                });
-            }
-            let first = tree.split(id);
-            for mask in 0..(1usize << dim) {
-                let child: Vec<u64> = lattice
-                    .iter()
-                    .enumerate()
-                    .map(|(d, &i)| 2 * i + (mask as u64 >> d & 1))
-                    .collect();
-                stack.push((first + mask, depth + 1, child));
-            }
-        }
-        if tree.num_leaves() != leaves.len() {
-            // duplicate or internal-position boxes inflate the input list
-            return Err(SelearnError::CorruptModel {
-                what: format!(
-                    "{} boxes produced a partition with {} leaves",
-                    leaves.len(),
-                    tree.num_leaves()
-                ),
-            });
-        }
-        Ok(tree)
-    }
-}
-
-/// Identity of one quadtree cell: refinement depth plus the integer
-/// lattice position of its lower corner at that depth. Splits halve every
-/// dimension at once, so a cell at depth `k` has lower corner
-/// `root.lo[d] + i_d · root.width(d) / 2^k` with `i_d ∈ [0, 2^k)` — the
-/// pair `(k, i)` is a collision-free key for restore-time indexing.
-pub(crate) type CellKey = (u32, Vec<u64>);
-
-/// Deepest cell the restore index will key: beyond this the lattice
-/// arithmetic loses integer precision, and `update_quad`'s volume guard
-/// stops refinement far earlier anyway.
-const MAX_RESTORE_DEPTH: u32 = 60;
-
-/// Computes the [`CellKey`] of `cell` within `root`, or `None` when `cell`
-/// cannot be a quadtree cell of `root` (wrong dimension, width ratio not a
-/// power of two, or lower corner outside the root).
-pub(crate) fn cell_key(root: &Rect, cell: &Rect) -> Option<CellKey> {
-    if cell.dim() != root.dim() {
-        return None;
-    }
-    // Depth from the width ratio in the first non-degenerate dimension;
-    // degenerate (zero-width) dimensions stay zero-width at every depth.
-    let d_ref = (0..root.dim()).find(|&d| root.width(d) > 0.0)?;
-    let ratio = root.width(d_ref) / cell.width(d_ref);
-    if !ratio.is_finite() || ratio < 1.0 - 1e-6 {
-        return None;
-    }
-    let k = ratio.log2().round();
-    if !(0.0..=MAX_RESTORE_DEPTH as f64).contains(&k) {
-        return None;
-    }
-    let k = k as u32;
-    let cells = (1u64 << k) as f64;
-    let mut key = Vec::with_capacity(root.dim());
-    for d in 0..root.dim() {
-        let w = root.width(d);
-        if w <= 0.0 {
-            key.push(0);
-            continue;
-        }
-        let i = ((cell.lo()[d] - root.lo()[d]) / w * cells).round();
-        if !(0.0..cells).contains(&i) {
-            return None;
-        }
-        key.push(i as u64);
-    }
-    Some((k, key))
-}
-
-/// Verifies that two boxes sharing a [`CellKey`] really are the same cell,
-/// with a relative-or-absolute tolerance: a small fraction of the cell
-/// width (relative part, so deep sub-1e-9 cells of the unit cube are never
-/// cross-matched) plus a term scaled by the root's coordinate magnitude
-/// (absolute part, so decimal-rounded dumps of unnormalized domains like
-/// `[0, 1e9]` are not spuriously rejected).
-pub(crate) fn cells_match(root: &Rect, a: &Rect, b: &Rect) -> bool {
-    (0..root.dim()).all(|d| {
-        let scale = root.lo()[d].abs().max(root.hi()[d].abs());
-        let tol = 1e-6 * b.width(d) + 1e-12 * scale;
-        (a.lo()[d] - b.lo()[d]).abs() <= tol && (a.hi()[d] - b.hi()[d]).abs() <= tol
-    })
 }
 
 #[cfg(test)]
@@ -381,16 +238,6 @@ mod tests {
         t.split(first); // split one child again
         assert_eq!(t.num_leaves(), 7); // 4 − 1 + 4
         assert_eq!(t.leaves().len(), 7);
-    }
-
-    #[test]
-    fn depth_tracks_splits() {
-        let mut t = QuadTree::new(Rect::unit(2));
-        let c1 = t.split(ROOT);
-        let c2 = t.split(c1);
-        assert_eq!(t.depth(ROOT), 0);
-        assert_eq!(t.depth(c1), 1);
-        assert_eq!(t.depth(c2), 2);
     }
 
     #[test]

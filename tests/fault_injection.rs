@@ -71,6 +71,25 @@ fn assert_fit_contract<M: SelectivityEstimator>(
     Ok(())
 }
 
+/// A load of a damaged file must fail with a typed error, or yield a
+/// model whose answers on the probes are finite.
+fn assert_typed_or_finite<M: SelectivityEstimator>(
+    got: Result<M, PersistError>,
+) -> Result<(), TestCaseError> {
+    match got {
+        Ok(model) => {
+            for p in probes() {
+                let e = model.estimate(&p);
+                prop_assert!(e.is_finite(), "estimate {e}");
+            }
+        }
+        Err(e) => {
+            prop_assert!(matches!(e, PersistError::Format(_) | PersistError::Io(_)), "{e}");
+        }
+    }
+    Ok(())
+}
+
 fn probes() -> Vec<Range> {
     vec![
         Rect::new(vec![0.0, 0.0], vec![0.4, 0.9]).into(),
@@ -150,6 +169,61 @@ proptest! {
                 prop_assert!(e.is_finite(), "estimate {e} after bit flip");
             }
         }
+    }
+
+    /// Line-level corruption of a QuadHist dump: a dropped, duplicated or
+    /// swapped bucket line, one coordinate replaced by the next line's
+    /// value in the same field, or one flipped bit — with the `buckets`
+    /// count left as it was or rewritten to the new line count, so that
+    /// damage reaches the partition check as well as the parser. Both
+    /// loaders must return a typed error or a model with finite answers.
+    #[test]
+    fn quadhist_load_mutated_lines_never_panics(mutation in (
+        0u32..5, 0.0f64..1.0, 0.0f64..1.0, 0u32..8, 0u32..2,
+    )) {
+        let (kind, i_frac, j_frac, bit, recount) = mutation;
+        let train = vec![
+            rect_query(0.1, 0.1, 0.5, 0.5, 0.6),
+            rect_query(0.4, 0.4, 0.4, 0.4, 0.3),
+        ];
+        let qh = QuadHist::fit(Rect::unit(2), &train, &QuadHistConfig::with_tau(0.05)).unwrap();
+        let mut buf = Vec::new();
+        save_quadhist(&qh, &mut buf).unwrap();
+        // magic, header, root, count, the bucket lines, `end`, and the
+        // empty rest after the final newline
+        let mut lines: Vec<Vec<u8>> = buf.split(|&b| b == b'\n').map(<[u8]>::to_vec).collect();
+        let n = lines.len() - 6;
+        prop_assume!(n >= 2);
+        let i = 4 + ((n as f64 * i_frac) as usize).min(n - 1);
+        let j = 4 + ((n as f64 * j_frac) as usize).min(n - 1);
+        match kind {
+            0 => {
+                lines.remove(i);
+            }
+            1 => lines.insert(i, lines[i].clone()),
+            2 => lines.swap(i, j),
+            3 => {
+                // one of the 2·d = 4 coordinates, from the next bucket line
+                let field = j % 4;
+                let next = if i + 1 < 4 + n { i + 1 } else { 4 };
+                let split = |line: &[u8]| -> Vec<Vec<u8>> {
+                    line.split(|&b| b == b' ').map(<[u8]>::to_vec).collect()
+                };
+                let mut fields = split(&lines[i]);
+                fields[field] = split(&lines[next]).swap_remove(field);
+                lines[i] = fields.join(&b' ');
+            }
+            _ => {
+                let at = ((lines[i].len() as f64 * j_frac) as usize).min(lines[i].len() - 1);
+                lines[i][at] ^= 1u8 << bit;
+            }
+        }
+        if recount == 1 {
+            lines[3] = format!("buckets {}", lines.len() - 6).into_bytes();
+        }
+        let dump = lines.join(&b'\n');
+        assert_typed_or_finite(load_quadhist(&dump[..]))?;
+        assert_typed_or_finite(load_frozen(&dump[..]))?;
     }
 
     /// Round trip: save → load reproduces the model bit-for-bit.

@@ -8,9 +8,12 @@
 //! design matrices must reproduce them exactly. A second set pins the
 //! bits of the models' estimates on a fixed probe set; those hashes were
 //! recorded from the pointer-tree walks that answered estimates before
-//! the frozen kernels became the only inference code. Tests share the
-//! global obs sink (to read each solve's `SolverReport`), so a file-local
-//! lock serializes them.
+//! the frozen kernels became the only inference code. A third pins what
+//! restoring a QuadHist dump builds: the bytes of the restored model's
+//! own dump (its arena order and weight bits), recorded from the
+//! three-index restore the one-pass restore replaced, and its estimates.
+//! Tests share the global obs sink (to read each solve's
+//! `SolverReport`), so a file-local lock serializes them.
 
 use selearn::prelude::*;
 use selearn_obs::{Event, MemorySink};
@@ -27,7 +30,11 @@ impl Fnv {
     }
 
     fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
+        self.bytes(&w.to_le_bytes());
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -272,5 +279,38 @@ fn online_quadhist_estimates_are_pinned() {
         "online-quadhist freeze",
         estimate_hash(&frozen.freeze(), &probes),
         0xebc2_7f11_4587_6a24,
+    );
+}
+
+#[test]
+fn restored_quadhist_is_pinned() {
+    use selearn::core::{load_frozen, load_quadhist, save_quadhist};
+    let _g = SINK_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let train = workload(128, 1);
+    let m = QuadHist::fit_with_bucket_target(
+        Rect::unit(2),
+        &train,
+        4 * train.len(),
+        &QuadHistConfig::default(),
+    )
+    .unwrap();
+    let mut dump = Vec::new();
+    save_quadhist(&m, &mut dump).unwrap();
+    // Saving the restored model pins its arena order (the bucket lines
+    // follow it) and every weight's bits.
+    let mut resaved = Vec::new();
+    save_quadhist(&load_quadhist(&dump[..]).unwrap(), &mut resaved).unwrap();
+    let mut h = Fnv::new();
+    h.bytes(&resaved);
+    assert_eq!(
+        h.0, 0x231d_8faa_77b4_8f97,
+        "restored quadhist: arena order or weight bits changed; got hash {:#018x}",
+        h.0
+    );
+    let frozen = load_frozen(&dump[..]).unwrap();
+    check_estimates(
+        "restored quadhist",
+        estimate_hash(&frozen, &estimate_probes()),
+        0x1c78_6543_12d5_9be9,
     );
 }
