@@ -178,7 +178,6 @@ fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(value)
 }
 
-#[cfg(feature = "obs-jsonl")]
 fn install_trace_sink(path: &str) {
     match selearn_obs::JsonlSink::create(std::path::Path::new(path)) {
         Ok(sink) => selearn_obs::set_sink(std::sync::Arc::new(sink)),
@@ -187,12 +186,6 @@ fn install_trace_sink(path: &str) {
             std::process::exit(2);
         }
     }
-}
-
-#[cfg(not(feature = "obs-jsonl"))]
-fn install_trace_sink(_path: &str) {
-    eprintln!("--trace-out requires the `obs-jsonl` feature (enabled by default)");
-    std::process::exit(2);
 }
 
 /// Ends one experiment's observability scope: streams the aggregate

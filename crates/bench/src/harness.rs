@@ -3,8 +3,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
 use selearn_baselines::{Isomer, IsomerConfig, QuickSel, QuickSelConfig, UniformBaseline};
 use selearn_core::{
     BoxedEstimator, Objective, PtsHist, PtsHistConfig, QuadHist, QuadHistConfig, SelearnError,
@@ -246,11 +244,6 @@ pub fn gen_workload(
 
 /// Runs a full accuracy sweep: for each training size and method, train on
 /// a fresh prefix workload and evaluate on a shared held-out test set.
-///
-/// With the `parallel` feature the methods of each training size train
-/// concurrently (they are fully independent given the shared workload);
-/// row order and row contents match the serial build exactly — only the
-/// wall-time columns can differ.
 pub fn run_methods(
     dataset: &Dataset,
     spec: &WorkloadSpec,
@@ -276,20 +269,20 @@ pub fn run_methods(
                 selectivity: q.selectivity,
             })
             .collect();
-        let eval_method = |m: Method| -> Result<Option<AccuracyRow>, SelearnError> {
+        for &m in methods {
             if m == Method::Isomer && n > scale.isomer_limit {
-                return Ok(None); // matches the paper: ISOMER times out beyond this
+                continue; // matches the paper: ISOMER times out beyond this
             }
             let (model, train_wall_ms) = m.fit(&root, &train)?;
             let t0 = Instant::now();
-            let est = model.par_estimate_all(&test_ranges);
+            let est = model.estimate_all(&test_ranges);
             let predict_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             let q = q_error_quantiles(&est, &truth);
             // Trace and table share this one computation (see
             // `QErrorSummary::emit`): no second quantile code path.
             q.emit(&format!("{}.n{}", m.name(), n), truth.len());
             let report = model.solve_report();
-            Ok(Some(AccuracyRow {
+            rows.push(AccuracyRow {
                 method: m.name(),
                 train_size: n,
                 dim: dataset.dim(),
@@ -301,22 +294,7 @@ pub fn run_methods(
                 predict_wall_ms,
                 solver_iters: report.map(|r| r.iters),
                 solver_converged: report.map(|r| r.converged),
-            }))
-        };
-        #[cfg(feature = "parallel")]
-        let per_method: Vec<Result<Option<AccuracyRow>, SelearnError>> =
-            if methods.len() > 1 && rayon::current_num_threads() > 1 {
-                methods.par_iter().map(|&m| eval_method(m)).collect()
-            } else {
-                methods.iter().map(|&m| eval_method(m)).collect()
-            };
-        #[cfg(not(feature = "parallel"))]
-        let per_method: Vec<Result<Option<AccuracyRow>, SelearnError>> =
-            methods.iter().map(|&m| eval_method(m)).collect();
-        for r in per_method {
-            if let Some(row) = r? {
-                rows.push(row);
-            }
+            });
         }
     }
     Ok(rows)

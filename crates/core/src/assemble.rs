@@ -4,69 +4,30 @@
 //! training query (Equations 7 and 8). A query overlaps only some buckets,
 //! so each row is compressed as it is built and the matrix is assembled
 //! directly in sparse ([`CsrMatrix`]) form: the dense `rows × cols` buffer
-//! never exists. Rows are mutually independent — row `i` is a pure
-//! function of query `i` and the (fixed) bucket layout — so with the
-//! `parallel` feature they are built and compressed concurrently and
-//! concatenated in query order. The same row-builder closure runs in both
-//! paths, so the assembled matrix is bitwise identical either way.
+//! never exists.
 
 #[cfg(doc)]
 use crate::estimator::TrainingQuery;
 use selearn_solver::CsrMatrix;
 
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
-
-/// Entry count below which parallel assembly is skipped: a scoped thread
-/// spawn costs more than a handful of cheap rows.
-#[cfg(feature = "parallel")]
-const PAR_ENTRY_THRESHOLD: usize = 2_048;
-
 /// Builds the `queries.len() × cols` design matrix, one `build_row` call
 /// per training query (usually a [`TrainingQuery`]; any per-row input
-/// works). `build_row` must return a dense row of exactly `cols` entries
-/// and must be a pure function of its query (it runs concurrently under
-/// the `parallel` feature).
+/// works), rows in query order. `build_row` must return a dense row of
+/// exactly `cols` entries.
 ///
 /// Counts `design_matrix_entries` (`rows × cols`) and
 /// `design_matrix_nonzeros` (stored entries) when observability is on.
 pub fn assemble_design_matrix<Q, F>(queries: &[Q], cols: usize, build_row: F) -> CsrMatrix
 where
-    Q: Sync,
-    F: Fn(&Q) -> Vec<f64> + Sync,
+    F: Fn(&Q) -> Vec<f64>,
 {
     let _span = selearn_obs::span!("assemble");
-    let a = compress_rows(queries, cols, &build_row);
-    selearn_obs::counter_add("design_matrix_entries", (queries.len() * cols) as u64);
-    selearn_obs::counter_add("design_matrix_nonzeros", a.nnz() as u64);
-    a
-}
-
-/// Builds and compresses one row per query, in query order.
-fn compress_rows<Q, F>(queries: &[Q], cols: usize, build_row: &F) -> CsrMatrix
-where
-    Q: Sync,
-    F: Fn(&Q) -> Vec<f64> + Sync,
-{
     let mut a = CsrMatrix::with_cols(cols);
-    #[cfg(feature = "parallel")]
-    if queries.len() * cols >= PAR_ENTRY_THRESHOLD && rayon::current_num_threads() > 1 {
-        let pieces: Vec<CsrMatrix> = queries
-            .par_iter()
-            .map(|q| {
-                let mut piece = CsrMatrix::with_cols(cols);
-                piece.push_row(&build_row(q));
-                piece
-            })
-            .collect();
-        for piece in &pieces {
-            a.append(piece);
-        }
-        return a;
-    }
     for q in queries {
         a.push_row(&build_row(q));
     }
+    selearn_obs::counter_add("design_matrix_entries", (queries.len() * cols) as u64);
+    selearn_obs::counter_add("design_matrix_nonzeros", a.nnz() as u64);
     a
 }
 
@@ -104,28 +65,5 @@ mod tests {
     fn empty_workload_yields_empty_matrix() {
         let a = assemble_design_matrix(&[] as &[TrainingQuery], 4, |_| vec![0.0; 4]);
         assert_eq!(a.rows(), 0);
-    }
-
-    /// Crosses the parallel dispatch threshold and demands bitwise equality
-    /// with a hand-rolled serial assembly.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_assembly_matches_serial_bitwise() {
-        let qs = queries(600);
-        let build = |q: &TrainingQuery| -> Vec<f64> {
-            (0..8)
-                .map(|j| ((q.selectivity + j as f64) * 0.37).sin())
-                .collect()
-        };
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(4)
-            .build()
-            .unwrap();
-        let a = pool.install(|| assemble_design_matrix(&qs, 8, build));
-        let mut want = CsrMatrix::with_cols(8);
-        for q in &qs {
-            want.push_row(&build(q));
-        }
-        assert_eq!(a, want);
     }
 }

@@ -3,19 +3,13 @@
 use selearn_geom::Range;
 use selearn_solver::SolveReport;
 
-/// Batch size below which parallel `estimate_all` dispatch is skipped — a
-/// scoped thread spawn costs more than a few hundred tree traversals.
-#[cfg(feature = "parallel")]
-const PAR_BATCH_THRESHOLD: usize = 256;
-
-/// The one batch evaluation loop every path funnels through: serial
-/// [`SelectivityEstimator::estimate_all`], each chunk of
-/// [`SelectivityEstimator::par_estimate_all`], and the serving worker's
-/// reused buffers (via `estimate_into`). Records **one**
-/// `predict.latency_us` sample per chunk — the mean per-query latency —
-/// instead of bracketing every query with two `Instant::now()` calls,
-/// whose overhead used to rival a sub-microsecond frozen traversal.
-pub(crate) fn estimate_chunk_into<F: FnMut(&Range) -> f64>(
+/// The one batch evaluation loop every path funnels through:
+/// [`SelectivityEstimator::estimate_all`] and the serving worker's reused
+/// buffers (via `estimate_into`). Records **one** `predict.latency_us`
+/// sample per batch — the mean per-query latency — instead of bracketing
+/// every query with two `Instant::now()` calls, whose overhead used to
+/// rival a sub-microsecond frozen traversal.
+pub(crate) fn estimate_batch_into<F: FnMut(&Range) -> f64>(
     mut per_query: F,
     ranges: &[Range],
     out: &mut [f64],
@@ -83,8 +77,8 @@ pub trait SelectivityEstimator {
 
     /// Batch estimation into a caller-provided buffer: `out[i]` receives
     /// the estimate for `ranges[i]`. The allocation-free primitive the
-    /// serving hot loop reuses buffers through; `estimate_all` and
-    /// `par_estimate_all` are expressed on top of it.
+    /// serving hot loop reuses buffers through; `estimate_all` is
+    /// expressed on top of it.
     ///
     /// # Panics
     /// Panics if `ranges` and `out` differ in length.
@@ -94,61 +88,20 @@ pub trait SelectivityEstimator {
             out.len(),
             "estimate_into: output buffer length mismatch"
         );
-        estimate_chunk_into(|r| self.estimate(r), ranges, out);
+        estimate_batch_into(|r| self.estimate(r), ranges, out);
     }
 
     /// Batch estimation: one estimate per input range, in input order.
-    /// Always serial, so plain (non-`Sync`) estimators can batch; large
-    /// batches on `Sync` estimators should prefer
-    /// [`SelectivityEstimator::par_estimate_all`].
     fn estimate_all(&self, ranges: &[Range]) -> Vec<f64> {
         let mut out = vec![0.0; ranges.len()];
         self.estimate_into(ranges, &mut out);
         out
     }
-
-    /// Batch estimation that fans out across worker threads when built with
-    /// the `parallel` feature and the batch is large enough to amortize the
-    /// dispatch. Work is split into contiguous chunks, each evaluated with
-    /// [`SelectivityEstimator::estimate_into`] and concatenated in index
-    /// order, so the result is always bitwise identical to the serial
-    /// `estimate_all`. Without the feature this *is* the serial loop.
-    fn par_estimate_all(&self, ranges: &[Range]) -> Vec<f64>
-    where
-        Self: Sync,
-    {
-        #[cfg(feature = "parallel")]
-        if ranges.len() >= PAR_BATCH_THRESHOLD && rayon::current_num_threads() > 1 {
-            use rayon::prelude::*;
-            let n = ranges.len();
-            // ~4 chunks per worker balances load without shrinking chunks
-            // below what one latency-histogram sample can represent.
-            let chunk = n
-                .div_ceil(4 * rayon::current_num_threads())
-                .max(1);
-            let num_chunks = n.div_ceil(chunk);
-            let parts: Vec<Vec<f64>> = (0..num_chunks)
-                .into_par_iter()
-                .map(|c| {
-                    let lo = c * chunk;
-                    let hi = (lo + chunk).min(n);
-                    let mut buf = vec![0.0; hi - lo];
-                    self.estimate_into(&ranges[lo..hi], &mut buf);
-                    buf
-                })
-                .collect();
-            let mut out = Vec::with_capacity(n);
-            for p in parts {
-                out.extend(p);
-            }
-            return out;
-        }
-        self.estimate_all(ranges)
-    }
 }
 
 /// The boxed estimator type used wherever models are handled dynamically.
-/// `Send + Sync` so batch estimation can fan out across threads.
+/// `Send + Sync` like [`SharedEstimator`], so a boxed model can be moved
+/// into one.
 pub type BoxedEstimator = Box<dyn SelectivityEstimator + Send + Sync>;
 
 /// The reference-counted estimator type used where one trained model is

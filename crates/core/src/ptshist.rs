@@ -172,10 +172,6 @@ impl PtsHist {
         }
 
         // Weight estimation with the indicator design matrix (Equation 7).
-        // Point sampling above is intentionally serial — it threads one RNG
-        // through rejection sampling — but once the support is frozen each
-        // indicator row is a pure function of its query, so assembly
-        // parallelizes across queries.
         let a = assemble_design_matrix(queries, points.len(), |q| {
             points
                 .iter()

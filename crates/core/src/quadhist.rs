@@ -412,9 +412,7 @@ impl QuadHist {
 /// internal nodes), with the solver's report. Row `q` holds, per leaf in
 /// arena order, the covered fraction `vol(q ∩ leaf) / vol(leaf)` clamped
 /// to `[0, 1]`, or 0 for a leaf of volume `≤ EPS`. `leaf_volume` is read
-/// once per leaf, not once per row. Each row is a pure function of one
-/// query and the fixed leaf layout, so assembly parallelizes across
-/// queries.
+/// once per leaf, not once per row.
 pub(crate) fn solve_leaf_weights(
     tree: &QuadTree,
     leaf_volume: impl Fn(NodeId) -> f64,

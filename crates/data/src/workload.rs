@@ -190,9 +190,8 @@ impl Workload {
                 }
             })
             .collect();
-        // Phase 1 (serial): draw every range. All randomness happens here,
-        // in a fixed order, so the stream of RNG draws — and therefore the
-        // generated ranges — never depends on the `parallel` feature.
+        // Phase 1: draw every range. All randomness happens here, in a
+        // fixed order.
         let mut ranges = Vec::with_capacity(n);
         for _ in 0..n {
             // Mixed streams spend exactly one extra draw per query on the
@@ -205,8 +204,7 @@ impl Workload {
             ranges.push(draw_range(dataset, spec, &cat_width, shape, center, rng));
         }
         // Phase 2: label each range with its true selectivity — a pure,
-        // RNG-free scan per range, parallelized across ranges when built
-        // with the `parallel` feature.
+        // RNG-free scan per range.
         let labels = {
             let _span = selearn_obs::span!("workload.label");
             selearn_obs::counter_add(
@@ -322,21 +320,8 @@ impl DriftSegment {
     }
 }
 
-/// Labeling work (ranges × rows) below which parallel dispatch is skipped.
-#[cfg(feature = "parallel")]
-const PAR_LABEL_THRESHOLD: usize = 262_144;
-
-/// Ground-truth selectivity for each range, in input order. Each label is
-/// an independent read-only scan of the dataset, so the parallel build
-/// returns exactly the serial answer.
+/// Ground-truth selectivity for each range, in input order.
 fn label_ranges(dataset: &Dataset, ranges: &[Range]) -> Vec<f64> {
-    #[cfg(feature = "parallel")]
-    if ranges.len() * dataset.len() >= PAR_LABEL_THRESHOLD
-        && rayon::current_num_threads() > 1
-    {
-        use rayon::prelude::*;
-        return ranges.par_iter().map(|r| dataset.selectivity(r)).collect();
-    }
     ranges.iter().map(|r| dataset.selectivity(r)).collect()
 }
 

@@ -11,15 +11,6 @@
 use crate::point::Point;
 use crate::rect::Rect;
 
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
-
-/// Sample count below which parallel QMC dispatch is skipped. The default
-/// 4096-sample estimator stays serial per call — callers that evaluate many
-/// cells (design-matrix assembly) parallelize across cells instead.
-#[cfg(feature = "parallel")]
-const PAR_SAMPLE_THRESHOLD: usize = 16_384;
-
 /// First 20 primes, used as Halton bases.
 const PRIMES: [u64; 20] = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
@@ -61,12 +52,8 @@ impl VolumeEstimator {
     /// Estimates `vol({x ∈ rect : inside(x)})`.
     ///
     /// Returns 0 for degenerate boxes. Deterministic: the same inputs always
-    /// produce the same estimate — the Halton point for index `k` does not
-    /// depend on any other index, and the hit count is an integer sum, so
-    /// the parallel build (large sample counts only) is exactly equal to
-    /// the serial one. The predicate is `Sync` because worker threads may
-    /// evaluate it concurrently.
-    pub fn volume_in_rect<F: Fn(&Point) -> bool + Sync>(&self, rect: &Rect, inside: F) -> f64 {
+    /// produce the same estimate.
+    pub fn volume_in_rect<F: Fn(&Point) -> bool>(&self, rect: &Rect, inside: F) -> f64 {
         let vol = rect.volume();
         if vol <= 0.0 {
             return 0.0;
@@ -76,21 +63,6 @@ impl VolumeEstimator {
         // hot path, and the trace still reconstructs total QMC work.
         selearn_obs::counter_add("mc_samples_drawn", samples as u64);
         let d = rect.dim();
-        #[cfg(feature = "parallel")]
-        if samples >= PAR_SAMPLE_THRESHOLD && rayon::current_num_threads() > 1 {
-            let hits: usize = (0..samples)
-                .into_par_iter()
-                .map(|k| {
-                    let mut p = Point::zeros(d);
-                    for (i, c) in p.coords_mut().iter_mut().enumerate() {
-                        let u = halton(k as u64 + 1, PRIMES[i % PRIMES.len()]);
-                        *c = rect.lo()[i] + rect.width(i) * u;
-                    }
-                    usize::from(inside(&p))
-                })
-                .sum();
-            return vol * hits as f64 / samples as f64;
-        }
         let mut hits = 0usize;
         let mut p = Point::zeros(d);
         for k in 0..samples {
@@ -106,7 +78,7 @@ impl VolumeEstimator {
     }
 
     /// Estimates the *fraction* of `rect` satisfying the predicate.
-    pub fn fraction_in_rect<F: Fn(&Point) -> bool + Sync>(&self, rect: &Rect, inside: F) -> f64 {
+    pub fn fraction_in_rect<F: Fn(&Point) -> bool>(&self, rect: &Rect, inside: F) -> f64 {
         let vol = rect.volume();
         if vol <= 0.0 {
             return 0.0;

@@ -10,7 +10,7 @@
 //!   (`fit.quadhist/assemble`, …);
 //! * **Counters & gauges** — monotonic [`counter_add`] / latest-value
 //!   [`gauge_set`] registries backed by `AtomicU64`, safe to bump from
-//!   rayon worker threads;
+//!   serve worker threads;
 //! * **Histograms** — lock-free log₂-bucketed distributions
 //!   ([`histogram_record`]) for per-query predict latency and
 //!   per-iteration residual norms;
@@ -29,12 +29,12 @@
 //!
 //! # Determinism contract
 //!
-//! Under the workspace's `parallel` feature, raw event *order* across
-//! threads is scheduler-dependent, but every **aggregate** is not:
-//! counters are atomic sums of the same bump set, histograms are atomic
-//! bucket counts, and the timing tree is keyed by span *path*, so its
-//! shape (node set, nesting, per-node call counts) is identical to the
-//! serial build — only wall-clock durations vary. Sinks receive
+//! When several threads (the server's workers) are instrumented, raw event
+//! *order* across them is scheduler-dependent, but every **aggregate** is
+//! not: counters are atomic sums of the same bump set, histograms are
+//! atomic bucket counts, and the timing tree is keyed by span *path*, so
+//! its shape (node set, nesting, per-node call counts) does not depend on
+//! the interleaving — only wall-clock durations vary. Sinks receive
 //! per-thread events as they close; [`flush_aggregates`] then emits the
 //! merged registries in deterministic (sorted) order.
 
@@ -58,9 +58,7 @@ pub use log::{set_level, Level};
 pub use metrics::{
     counter_add, counter_get, gauge_set, histogram_record, HistogramExport, HistogramSummary,
 };
-#[cfg(feature = "jsonl")]
-pub use sink::JsonlSink;
-pub use sink::{MemorySink, NullSink, ObsSink};
+pub use sink::{JsonlSink, MemorySink, NullSink, ObsSink};
 pub use span::{span, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -2,7 +2,7 @@
 //!
 //! Registration (first use of a name) takes a `RwLock` write; every
 //! subsequent bump is lock-free on an `Arc<AtomicU64>` fetched under the
-//! read lock, so concurrent bumps from rayon workers never serialise on
+//! read lock, so concurrent bumps from serve workers never serialise on
 //! a mutex. Registries are `BTreeMap`s so snapshots are deterministically
 //! sorted by name.
 
@@ -161,9 +161,9 @@ impl Histogram {
         if !v.is_finite() {
             return;
         }
-        // CAS loops for min/max/sum. The sum is *not* deterministic under
-        // parallel interleave (float addition is non-associative), but it
-        // is only used for the mean in reports, never in results.
+        // CAS loops for min/max/sum. The sum is *not* deterministic when
+        // threads record concurrently (float addition is non-associative),
+        // but it is only used for the mean in reports, never in results.
         let mut cur = self.min_bits.load(Ordering::Relaxed);
         while v < f64::from_bits(cur) {
             match self.min_bits.compare_exchange_weak(

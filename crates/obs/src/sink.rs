@@ -10,8 +10,7 @@ use crate::event::Event;
 use std::sync::Mutex;
 
 /// Receives structured events. Implementations must tolerate concurrent
-/// `record` calls (events arrive from rayon worker threads under the
-/// `parallel` feature).
+/// `record` calls (events arrive from serve worker threads).
 pub trait ObsSink: Send + Sync {
     /// Records one event. Must not panic.
     fn record(&self, event: &Event);
@@ -72,13 +71,11 @@ impl ObsSink for MemorySink {
 }
 
 /// Writes one JSON object per line to a file (the `--trace-out` format).
-#[cfg(feature = "jsonl")]
 #[derive(Debug)]
 pub struct JsonlSink {
     writer: Mutex<std::io::BufWriter<std::fs::File>>,
 }
 
-#[cfg(feature = "jsonl")]
 impl JsonlSink {
     /// Creates (truncating) the trace file at `path`.
     pub fn create(path: &std::path::Path) -> std::io::Result<Self> {
@@ -89,7 +86,6 @@ impl JsonlSink {
     }
 }
 
-#[cfg(feature = "jsonl")]
 impl ObsSink for JsonlSink {
     fn record(&self, event: &Event) {
         use std::io::Write;

@@ -7,11 +7,9 @@
 //! rendered tree is deterministically ordered — and (b) emits a
 //! [`Event::Span`] if a sink is installed.
 //!
-//! Under the `parallel` feature each rayon worker has its own stack, so
-//! spans opened inside parallel closures nest under whatever the worker
-//! has open (usually nothing) rather than corrupting the caller's stack.
-//! Hot parallel loops therefore keep spans *outside* the parallel region
-//! and use counters/histograms inside it.
+//! Each thread (e.g. each serve worker) has its own stack, so a span
+//! opened on one thread nests under whatever that thread has open
+//! (usually nothing) rather than corrupting another thread's stack.
 
 use crate::event::Event;
 use std::cell::RefCell;

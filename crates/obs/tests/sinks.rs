@@ -103,7 +103,6 @@ fn solver_iteration_helper_emits_event_and_residual_histogram() {
     });
 }
 
-#[cfg(feature = "jsonl")]
 #[test]
 fn jsonl_sink_golden_file_parses_line_by_line() {
     use selearn_obs::json::validate_json_object;

@@ -286,7 +286,6 @@ fn main() {
     }
 }
 
-#[cfg(feature = "obs-jsonl")]
 fn install_trace_sink(path: &str) {
     match selearn_obs::JsonlSink::create(std::path::Path::new(path)) {
         Ok(sink) => selearn_obs::set_sink(std::sync::Arc::new(sink)),
@@ -295,10 +294,4 @@ fn install_trace_sink(path: &str) {
             std::process::exit(2);
         }
     }
-}
-
-#[cfg(not(feature = "obs-jsonl"))]
-fn install_trace_sink(_path: &str) {
-    eprintln!("--trace-out requires the obs-jsonl feature");
-    std::process::exit(2);
 }

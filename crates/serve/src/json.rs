@@ -62,7 +62,7 @@ impl Json {
 
 /// Nesting depth bound: the protocol needs 2 levels; 32 tolerates clients
 /// with wrapper layers while keeping hostile deep nesting from recursing.
-const MAX_DEPTH: usize = 32;
+pub(crate) const MAX_DEPTH: usize = 32;
 
 /// Parses exactly one JSON value spanning the whole input (trailing
 /// whitespace allowed). Returns a human-readable error message otherwise.
@@ -144,16 +144,21 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        // surrogates and other invalid scalars become U+FFFD;
-                        // the protocol never needs astral characters
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let mut code = hex4(b, *pos + 1)?;
                         *pos += 4;
+                        // A high surrogate must be followed by an escaped
+                        // low one; a lone surrogate of either half is no
+                        // character and is refused (`from_u32` below).
+                        if (0xd800..0xdc00).contains(&code)
+                            && b.get(*pos + 1..*pos + 3) == Some(b"\\u")
+                        {
+                            let low = hex4(b, *pos + 3)?;
+                            if (0xdc00..0xe000).contains(&low) {
+                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                *pos += 6;
+                            }
+                        }
+                        out.push(char::from_u32(code).ok_or("lone surrogate in \\u escape")?);
                     }
                     _ => return Err("bad escape".into()),
                 }
@@ -171,6 +176,14 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The four hex digits of a `\u` escape starting at `at`.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    let hex = b.get(at..at + 4).ok_or("truncated \\u escape")?;
+    hex.iter()
+        .try_fold(0, |code, &h| Some(code * 16 + char::from(h).to_digit(16)?))
+        .ok_or_else(|| "bad \\u escape".into())
 }
 
 fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
@@ -258,6 +271,25 @@ mod tests {
             "\"unterminated", "\"bad \\q escape\"",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_decode_pairs_and_refuse_lone_surrogates() {
+        assert_eq!(
+            parse(r#""\u00e9\ud83d\ude00""#).unwrap(),
+            Json::Str("é😀".into())
+        );
+        for bad in [
+            r#""\ud800""#,
+            r#""\udc00""#,
+            r#""\ud800\u0041""#,
+            r#""\ud800\ud800""#,
+            r#""\u+041""#,
+            r#""\u12""#,
+            r#""\ud800\u12""#,
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad}");
         }
     }
 

@@ -229,11 +229,18 @@ mod tests {
         assert_eq!(n, 1);
         assert!(fds[0].readable());
         assert!(start.elapsed() < Duration::from_secs(4));
+        // Join before draining: both wakes have then happened, so nothing
+        // can arrive after the drain, and exactly one byte is in flight.
+        t.join().expect("join");
+        assert_eq!(
+            rx.peek(&mut [0u8; 8]).expect("peek"),
+            1,
+            "second wake must coalesce"
+        );
         waker.drain(&mut rx);
         // Drained: the next poll times out instead of spinning.
         let n = poll(&mut fds, 20).expect("poll");
         assert_eq!(n, 0, "wake byte must be drained");
-        t.join().expect("join");
         // After drain, a new wake is deliverable again.
         waker.wake();
         let n = poll(&mut fds, 1000).expect("poll");

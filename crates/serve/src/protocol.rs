@@ -771,4 +771,184 @@ mod tests {
             );
         }
     }
+
+    use crate::json::MAX_DEPTH;
+    use proptest::prelude::*;
+
+    /// Model names: plain, namespaced, multi-byte (so char boundaries and
+    /// byte offsets differ) and escaped.
+    const NAMES: [&str; 4] = ["quadhist", "t.c", "é東", "q\\u00e9"];
+
+    /// A valid request line built from parts: `shape` 0 rect, 1 halfspace,
+    /// 2 ball; `nums` holds the shape's numeric literals in wire order and,
+    /// for a feedback line, the `sel` literal last.
+    fn request_line(shape: usize, est: &str, nums: &[String], feedback: bool) -> String {
+        let n = |i: usize| nums[i].as_str();
+        let mut line = match shape {
+            0 => format!(
+                r#"{{"est":"{est}","lo":[{},{}],"hi":[{},{}]"#,
+                n(0),
+                n(1),
+                n(2),
+                n(3)
+            ),
+            1 => format!(
+                r#"{{"est":"{est}","shape":"halfspace","normal":[{},{}],"offset":{}"#,
+                n(0),
+                n(1),
+                n(2)
+            ),
+            _ => format!(
+                r#"{{"est":"{est}","shape":"ball","center":[{},{}],"radius":{}"#,
+                n(0),
+                n(1),
+                n(2)
+            ),
+        };
+        if feedback {
+            line.push_str(&format!(r#","sel":{}"#, nums[nums.len() - 1]));
+        }
+        line.push_str(r#","id":7}"#);
+        line
+    }
+
+    /// The finite literals a valid line of `shape` carries.
+    fn valid_nums(shape: usize, feedback: bool) -> Vec<String> {
+        let mut nums: Vec<&str> = match shape {
+            0 => vec!["0.1", "0.2", "0.5", "0.6"],
+            1 => vec!["1.0", "-0.5", "0.25"],
+            _ => vec!["0.4", "0.6", "0.2"],
+        };
+        if feedback {
+            nums.push("0.21");
+        }
+        nums.into_iter().map(String::from).collect()
+    }
+
+    /// Every number an accepted line carries.
+    fn numbers(line: &RequestLine) -> Vec<f64> {
+        let (shape, sel) = match line {
+            RequestLine::Estimate(r) => (&r.shape, None),
+            RequestLine::Feedback(f) => (&f.shape, Some(f.sel)),
+        };
+        let mut out = match shape {
+            Shape::Rect { lo, hi } => [lo.as_slice(), hi].concat(),
+            Shape::Halfspace { normal, offset } => [normal.as_slice(), &[*offset]].concat(),
+            Shape::Ball { center, radius } => [center.as_slice(), &[*radius]].concat(),
+        };
+        out.extend(sel);
+        out
+    }
+
+    /// Fragments spliced into valid lines by the mutation case.
+    const HOSTILE: [&str; 14] = [
+        "1e999", "-1e999", "\\ud800", "\\udfff", "[", "{", "\"", "\\", "e", ",", "}", "]", "\\u",
+        "é",
+    ];
+
+    /// One hostile request line and whether the parser must refuse it
+    /// (`false`: it may be accepted, but then only with finite numbers).
+    fn hostile_line(
+        (form, shape, name, feedback): (usize, usize, usize, bool),
+        (a, b): (usize, usize),
+    ) -> (String, bool) {
+        let est = NAMES[name];
+        let mut nums = valid_nums(shape, feedback);
+        match form {
+            // nesting: a wrapper key holding `b` nested arrays/objects
+            // around a number; refused exactly past MAX_DEPTH
+            0 => {
+                let depth = b % (MAX_DEPTH + 48);
+                let objects: Vec<bool> = (0..depth).map(|i| (a >> (i % 16)) & 1 == 1).collect();
+                let opens: String = objects
+                    .iter()
+                    .map(|&o| if o { "{\"k\":" } else { "[" })
+                    .collect();
+                let closes: String = objects
+                    .iter()
+                    .rev()
+                    .map(|&o| if o { "}" } else { "]" })
+                    .collect();
+                let line = request_line(shape, est, &nums, feedback);
+                (
+                    format!("{{\"x\":{opens}0{closes},{}", &line[1..]),
+                    depth >= MAX_DEPTH,
+                )
+            }
+            // an overflowing literal in any numeric field
+            1 => {
+                let k = a % nums.len();
+                nums[k] = if b % 2 == 0 { "1e999" } else { "-1e999" }.into();
+                (request_line(shape, est, &nums, feedback), true)
+            }
+            // a lone surrogate escape in the model name or in a key
+            2 => {
+                let code = 0xd800 + b % 0x800;
+                let after = ["", "x", "\\u0041", "\\ud800", "\\u00"][a % 5];
+                let bad = format!("q\\u{code:04x}{after}");
+                let line = if a % 2 == 0 {
+                    request_line(shape, &bad, &nums, feedback)
+                } else {
+                    let line = request_line(shape, est, &nums, feedback);
+                    format!("{{\"{bad}\":0,{}", &line[1..])
+                };
+                (line, true)
+            }
+            // a string left open, possibly mid-escape, at the end of input
+            3 => {
+                let tail = ["", "\\", "\\u", "\\u0", "\\u00e", "\\ud83d", "\\ud83d\\u"][a % 7];
+                let line = request_line(shape, est, &nums, feedback);
+                let opens: Vec<usize> = line.match_indices('"').map(|(i, _)| i + 1).collect();
+                let at = opens[b % opens.len()];
+                (format!("{}{tail}", &line[..at]), true)
+            }
+            // a fragment spliced in at a char boundary, or a char removed
+            _ => {
+                let mut line = request_line(shape, est, &nums, feedback);
+                let cuts: Vec<usize> = line.char_indices().map(|(i, _)| i).collect();
+                let at = cuts[b % cuts.len()];
+                if a % (HOSTILE.len() + 1) == HOSTILE.len() {
+                    line.remove(at);
+                } else {
+                    line.insert_str(at, HOSTILE[a % (HOSTILE.len() + 1)]);
+                }
+                (line, false)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Hostile request lines never panic the parser: overflowing
+        /// literals, nesting past the bound, lone surrogates and open
+        /// strings are refused, every strict prefix of a valid line (cut at
+        /// each char boundary) is refused, and whatever is accepted
+        /// carries only finite numbers.
+        #[test]
+        fn hostile_request_lines_are_refused_without_panic(
+            kind in (0usize..5, 0usize..3, 0usize..NAMES.len(), 0usize..2),
+            picks in (0usize..1 << 16, 0usize..1 << 16),
+        ) {
+            let (form, shape, name, feedback) = kind;
+            let feedback = feedback == 1;
+            let valid = request_line(shape, NAMES[name], &valid_nums(shape, feedback), feedback);
+            let parsed = parse_line(&valid);
+            prop_assert!(parsed.is_ok(), "{} refused: {:?}", valid, parsed);
+            for (cut, _) in valid.char_indices() {
+                prop_assert!(parse_line(&valid[..cut]).is_err(), "accepted prefix {}", &valid[..cut]);
+            }
+            let (line, must_refuse) = hostile_line((form, shape, name, feedback), picks);
+            match parse_line(&line) {
+                Ok(ok) => {
+                    prop_assert!(!must_refuse, "accepted {}", line);
+                    let nums = numbers(&ok);
+                    prop_assert!(nums.iter().all(|x| x.is_finite()), "{} gave {:?}", line, nums);
+                }
+                Err(_) => {
+                    prop_assert!(form != 0 || must_refuse, "refused {}", line);
+                }
+            }
+        }
+    }
 }

@@ -25,25 +25,8 @@
 //!   order, skipping `x_i == 0.0` as the dense kernel does. From `+0.0` an
 //!   accumulator never reaches `−0.0`, so the dropped `±0.0` products
 //!   never change a bit.
-//!
-//! With the `parallel` feature `A x` fans out over groups of rows and
-//! `Aᵀ x` over column blocks; each output element keeps its serial
-//! summation order, so results are bitwise identical to the serial build.
 
 use crate::matrix::DenseMatrix;
-
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
-
-/// Stored-entry count below which parallel dispatch is skipped (the same
-/// budget as the dense kernels' multiply-add threshold).
-#[cfg(feature = "parallel")]
-const PAR_NNZ_THRESHOLD: usize = 32_768;
-
-#[cfg(feature = "parallel")]
-fn par_worthwhile(nnz: usize) -> bool {
-    nnz >= PAR_NNZ_THRESHOLD && rayon::current_num_threads() > 1
-}
 
 /// Rows whose dot products the `A x` kernel folds side by side.
 const DOT_LANES: usize = 4;
@@ -108,20 +91,6 @@ impl CsrMatrix {
         }
         self.row_ptr.push(self.vals.len());
         self.rows += 1;
-    }
-
-    /// Appends every row of `other` below this matrix's rows.
-    ///
-    /// # Panics
-    /// Panics if the column counts differ.
-    pub fn append(&mut self, other: &CsrMatrix) {
-        assert_eq!(other.cols, self.cols, "column count mismatch");
-        let base = self.vals.len();
-        self.row_ptr
-            .extend(other.row_ptr[1..].iter().map(|&p| base + p));
-        self.col_idx.extend_from_slice(&other.col_idx);
-        self.vals.extend_from_slice(&other.vals);
-        self.rows += other.rows;
     }
 
     /// Number of rows.
@@ -224,22 +193,6 @@ impl CsrMatrix {
     pub fn matvec_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "dimension mismatch");
         assert_eq!(out.len(), self.rows, "output length mismatch");
-        #[cfg(feature = "parallel")]
-        if par_worthwhile(self.nnz()) {
-            let groups: Vec<Vec<f64>> = (0..self.rows.div_ceil(DOT_LANES))
-                .into_par_iter()
-                .map(|g| {
-                    let i0 = g * DOT_LANES;
-                    let mut y = vec![0.0; DOT_LANES.min(self.rows - i0)];
-                    self.row_dots(i0, x, &mut y);
-                    y
-                })
-                .collect();
-            for (chunk, y) in out.chunks_mut(DOT_LANES).zip(&groups) {
-                chunk.copy_from_slice(y);
-            }
-            return;
-        }
         for (g, chunk) in out.chunks_mut(DOT_LANES).enumerate() {
             self.row_dots(g * DOT_LANES, x, chunk);
         }
@@ -252,51 +205,19 @@ impl CsrMatrix {
         y
     }
 
-    /// `out = Aᵀ x`, written into a caller-owned buffer of length `cols`.
-    /// Serially a scatter over rows in ascending order; the parallel build
-    /// gives each worker a block of columns and the same row order.
+    /// `out = Aᵀ x`, written into a caller-owned buffer of length `cols`:
+    /// a scatter over rows in ascending order, skipping `x_i == 0.0`.
     pub fn matvec_t_into(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.rows, "dimension mismatch");
         assert_eq!(out.len(), self.cols, "output length mismatch");
-        #[cfg(feature = "parallel")]
-        if par_worthwhile(self.nnz()) {
-            let block = self.cols.div_ceil(rayon::current_num_threads()).max(1);
-            let blocks: Vec<Vec<f64>> = (0..self.cols.div_ceil(block))
-                .into_par_iter()
-                .map(|b| {
-                    let lo = b * block;
-                    let hi = (lo + block).min(self.cols);
-                    let mut y = vec![0.0; hi - lo];
-                    self.scatter_t(x, lo, hi, &mut y);
-                    y
-                })
-                .collect();
-            for (b, y) in blocks.iter().enumerate() {
-                out[b * block..b * block + y.len()].copy_from_slice(y);
-            }
-            return;
-        }
         out.fill(0.0);
-        self.scatter_t(x, 0, self.cols, out);
-    }
-
-    /// Adds `x_i · A[i][j]` into `y[j − lo]` for the columns `lo..hi`,
-    /// rows ascending, skipping `x_i == 0.0`.
-    fn scatter_t(&self, x: &[f64], lo: usize, hi: usize, y: &mut [f64]) {
-        let whole = lo == 0 && hi == self.cols;
         for (i, &xi) in x.iter().enumerate() {
             if xi == 0.0 {
                 continue;
             }
-            let (mut idx, mut vals) = self.row(i);
-            if !whole {
-                let a = idx.partition_point(|&j| (j as usize) < lo);
-                let b = idx.partition_point(|&j| (j as usize) < hi);
-                idx = &idx[a..b];
-                vals = &vals[a..b];
-            }
+            let (idx, vals) = self.row(i);
             for (&j, &a) in idx.iter().zip(vals) {
-                y[j as usize - lo] += a * xi;
+                out[j as usize] += a * xi;
             }
         }
     }
@@ -377,15 +298,6 @@ mod tests {
         assert_eq!(a.row(0).0, &[1, 2]);
         assert_eq!(a.row(1).0, &[] as &[u32]);
         assert_eq!(a.to_dense().row(0)[2].to_bits(), (-0.0f64).to_bits());
-    }
-
-    #[test]
-    fn append_concatenates_rows() {
-        let mut a = CsrMatrix::from_rows(&[vec![1.0, 0.0]]);
-        a.append(&CsrMatrix::from_rows(&[vec![0.0, 3.0], vec![4.0, 5.0]]));
-        let want = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 3.0], vec![4.0, 5.0]]);
-        assert_eq!(a.to_dense(), want);
-        assert_eq!(a, CsrMatrix::from_dense(&want));
     }
 
     #[test]

@@ -3,30 +3,8 @@
 //! Sized for the paper's problem scales: design matrices with up to a few
 //! thousand rows (training queries) and columns (buckets). Row-major
 //! storage; no BLAS, no unsafe.
-//!
-//! With the `parallel` feature, [`DenseMatrix::matvec`] and
-//! [`DenseMatrix::matvec_t`] fan out across rows / columns on rayon;
-//! [`DenseMatrix::residual`], [`DenseMatrix::residual_sq`] and
-//! [`DenseMatrix::gram_spectral_norm`] inherit that parallelism. Both
-//! parallel kernels keep the serial accumulation order per output element,
-//! so results are bitwise identical to the serial build — the FISTA/NNLS
-//! iterates (and hence the trained weights) do not change with the feature
-//! or the thread count.
 
 use crate::error::SolverError;
-
-#[cfg(feature = "parallel")]
-use rayon::prelude::*;
-
-/// Multiply-add count below which parallel dispatch is skipped: scoped
-/// thread spawn costs far more than a small matvec.
-#[cfg(feature = "parallel")]
-const PAR_WORK_THRESHOLD: usize = 32_768;
-
-#[cfg(feature = "parallel")]
-fn par_worthwhile(work: usize) -> bool {
-    work >= PAR_WORK_THRESHOLD && rayon::current_num_threads() > 1
-}
 
 /// A dense row-major matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -114,18 +92,9 @@ impl DenseMatrix {
         self.rows += 1;
     }
 
-    /// `y = A x`. Each output element is one independent row dot product,
-    /// so the parallel build splits over rows with no change in the
-    /// per-element summation order.
+    /// `y = A x`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "dimension mismatch");
-        #[cfg(feature = "parallel")]
-        if par_worthwhile(self.rows * self.cols) {
-            return (0..self.rows)
-                .into_par_iter()
-                .map(|i| dot(self.row(i), x))
-                .collect();
-        }
         let mut y = vec![0.0; self.rows];
         for (i, yi) in y.iter_mut().enumerate() {
             *yi = dot(self.row(i), x);
@@ -133,28 +102,9 @@ impl DenseMatrix {
         y
     }
 
-    /// `y = Aᵀ x`. The parallel build computes each column sum
-    /// independently, accumulating over rows in ascending order with the
-    /// same zero-skip as the serial loop — identical association, so the
-    /// floating-point result is bitwise equal to the serial one.
+    /// `y = Aᵀ x`, skipping zero entries of `x`.
     pub fn matvec_t(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.rows, "dimension mismatch");
-        #[cfg(feature = "parallel")]
-        if par_worthwhile(self.rows * self.cols) {
-            return (0..self.cols)
-                .into_par_iter()
-                .map(|j| {
-                    let mut yj = 0.0;
-                    for (i, &xi) in x.iter().enumerate() {
-                        if xi == 0.0 {
-                            continue;
-                        }
-                        yj += self.data[i * self.cols + j] * xi;
-                    }
-                    yj
-                })
-                .collect();
-        }
         let mut y = vec![0.0; self.cols];
         #[allow(clippy::needless_range_loop)] // indexed form is clearer here
         for i in 0..self.rows {
@@ -169,7 +119,7 @@ impl DenseMatrix {
         y
     }
 
-    /// Residual `A x − b` (parallel over rows via [`Self::matvec`]).
+    /// Residual `A x − b`.
     pub fn residual(&self, x: &[f64], b: &[f64]) -> Vec<f64> {
         assert_eq!(b.len(), self.rows, "dimension mismatch");
         let mut r = self.matvec(x);
@@ -179,9 +129,7 @@ impl DenseMatrix {
         r
     }
 
-    /// Squared residual norm `‖A x − b‖²`. The `O(rows·cols)` matvec is
-    /// parallel; the `O(rows)` square-and-sum stays serial (it is never the
-    /// bottleneck, and the serial fold keeps the reduction order fixed).
+    /// Squared residual norm `‖A x − b‖²`.
     pub fn residual_sq(&self, x: &[f64], b: &[f64]) -> f64 {
         self.residual(x, b).iter().map(|r| r * r).sum()
     }
@@ -189,8 +137,7 @@ impl DenseMatrix {
     /// Largest eigenvalue of `AᵀA` (squared spectral norm of `A`) estimated
     /// by power iteration; used as the Lipschitz constant of the
     /// least-squares gradient in FISTA. Each iteration is one
-    /// [`Self::matvec`] plus one [`Self::matvec_t`], so the power method
-    /// parallelizes (deterministically) with the `parallel` feature.
+    /// [`Self::matvec`] plus one [`Self::matvec_t`].
     pub fn gram_spectral_norm(&self, iters: usize) -> f64 {
         if self.rows == 0 || self.cols == 0 {
             return 0.0;
@@ -431,47 +378,5 @@ mod tests {
     #[should_panic(expected = "buffer size mismatch")]
     fn from_vec_size_mismatch_panics() {
         let _ = DenseMatrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]);
-    }
-
-    /// Cross-checks the parallel kernels against hand-rolled serial loops
-    /// on a matrix large enough to cross the dispatch threshold. Exact
-    /// bitwise equality is required, not an epsilon.
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_matvecs_bitwise_match_serial() {
-        let rows = 300;
-        let cols = 200;
-        let data: Vec<f64> = (0..rows * cols)
-            .map(|k| ((k as f64) * 0.37).sin() / 3.0)
-            .collect();
-        let a = DenseMatrix::from_vec(rows, cols, data);
-        let x: Vec<f64> = (0..cols).map(|j| ((j as f64) * 0.11).cos()).collect();
-        // every third entry zero so the zero-skip path is exercised
-        let z: Vec<f64> = (0..rows)
-            .map(|i| if i % 3 == 0 { 0.0 } else { (i as f64).sqrt() })
-            .collect();
-
-        let mut want = vec![0.0; rows];
-        for (i, w) in want.iter_mut().enumerate() {
-            *w = dot(a.row(i), &x);
-        }
-        let got = a.matvec(&x);
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
-
-        let mut want_t = vec![0.0; cols];
-        for (i, &zi) in z.iter().enumerate() {
-            if zi == 0.0 {
-                continue;
-            }
-            for (j, &v) in a.row(i).iter().enumerate() {
-                want_t[j] += v * zi;
-            }
-        }
-        let got_t = a.matvec_t(&z);
-        for (g, w) in got_t.iter().zip(&want_t) {
-            assert_eq!(g.to_bits(), w.to_bits());
-        }
     }
 }

@@ -114,22 +114,3 @@ proptest! {
     }
 }
 
-/// Matrices big enough for the parallel kernels' dispatch threshold, run
-/// on a forced four-thread pool.
-#[cfg(feature = "parallel")]
-#[test]
-fn parallel_sparse_kernels_match_dense_bitwise() {
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(4)
-        .build()
-        .expect("pool");
-    pool.install(|| {
-        for (seed, density) in [(1u64, 0.3), (2, 1.0), (3, 0.0)] {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let a = matrix(&mut rng, 400, 300, density, true);
-            for all_negative in [false, true] {
-                check_kernels(&a, &mut rng, all_negative).expect("bitwise equal");
-            }
-        }
-    });
-}
