@@ -90,7 +90,10 @@ fn main() {
     let stats_off = std::env::var("SELEARN_OBS").is_ok_and(|v| v == "off" || v == "0");
     selearn_obs::enable_stats(!stats_off);
     if let Some(path) = &trace_out {
-        install_trace_sink(path);
+        if let Err(e) = selearn_obs::install_trace_file(std::path::Path::new(path)) {
+            eprintln!("cannot open trace file {path}: {e}");
+            std::process::exit(2);
+        }
     }
 
     let t0 = Instant::now();
@@ -176,16 +179,6 @@ fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let value = args.remove(pos + 1);
     args.remove(pos);
     Some(value)
-}
-
-fn install_trace_sink(path: &str) {
-    match selearn_obs::JsonlSink::create(std::path::Path::new(path)) {
-        Ok(sink) => selearn_obs::set_sink(std::sync::Arc::new(sink)),
-        Err(e) => {
-            eprintln!("cannot open trace file {path}: {e}");
-            std::process::exit(2);
-        }
-    }
 }
 
 /// Ends one experiment's observability scope: streams the aggregate
@@ -1085,12 +1078,10 @@ fn ablation_volume() -> Result<(), SelearnError> {
     Ok(())
 }
 
-/// Extensions beyond the paper: GaussHist (the conclusion's
-/// Gaussian-mixture open problem) and OnlineQuadHist (streaming feedback),
-/// benchmarked against the batch estimators, plus a GaussHist bandwidth
-/// sweep.
+/// Extension beyond the paper: OnlineQuadHist (streaming feedback),
+/// benchmarked against the batch estimators on the same workload.
 fn extension_models(scale: &ExperimentScale) -> Result<(), SelearnError> {
-    use selearn_core::{GaussHist, GaussHistConfig, OnlineQuadHist};
+    use selearn_core::OnlineQuadHist;
     let data = power2d(scale);
     let spec = rect_spec(CenterDistribution::DataDriven);
     let n = 500.min(scale.train_sizes.last().copied().unwrap_or(500));
@@ -1100,7 +1091,7 @@ fn extension_models(scale: &ExperimentScale) -> Result<(), SelearnError> {
     let truth: Vec<f64> = test.queries().iter().map(|q| q.selectivity).collect();
     let mut rows = Vec::new();
 
-    // batch models + extensions
+    // batch models, then the online variant
     let mut add = |name: String, model: &dyn SelectivityEstimator, ms: f64| {
         let est: Vec<f64> = test
             .queries()
@@ -1118,19 +1109,6 @@ fn extension_models(scale: &ExperimentScale) -> Result<(), SelearnError> {
     for m in [Method::QuadHist, Method::PtsHist] {
         let (model, ms) = m.fit(&Rect::unit(2), &train)?;
         add(m.name().to_string(), model.as_ref(), ms);
-    }
-    for bw in [0.01f64, 0.03, 0.05, 0.1] {
-        let t0 = Instant::now();
-        let gh = GaussHist::fit(
-            Rect::unit(2),
-            &train,
-            &GaussHistConfig::with_model_size(4 * n).bandwidth(bw),
-        )?;
-        add(
-            format!("GaussHist(bw={bw})"),
-            &gh,
-            t0.elapsed().as_secs_f64() * 1e3,
-        );
     }
     // online variant after consuming the same stream
     let t0 = Instant::now();
@@ -1159,7 +1137,7 @@ fn extension_models(scale: &ExperimentScale) -> Result<(), SelearnError> {
 
 /// Workload-drift adaptation suite: a query stream whose center
 /// distribution *and* shape mix shift at segment boundaries, served by an
-/// [`OnlineQuadHist`] that refits periodically from its feedback history.
+/// [`OnlineQuadHist`](selearn_core::OnlineQuadHist) that refits periodically from its feedback history.
 /// Each evaluation window reports the online model's prequential q-error
 /// (estimate first, observe after) next to a hindsight oracle — a QuadHist
 /// refit from scratch on everything seen so far — and the regret-style gap

@@ -2,11 +2,10 @@
 //!
 //! Every fallible public API in `selearn-core` (and the crates layered on
 //! top of it) returns [`SelearnError`]. The lower layers keep their own
-//! typed errors — [`GeomError`](selearn_geom::GeomError) for geometry,
-//! [`SolverError`](selearn_solver::SolverError) for the numerical solvers,
-//! [`PersistError`](crate::persist::PersistError) for model (de)serialization
-//! — and `SelearnError` wraps each with a `From` impl so `?` composes
-//! across the stack while `matches!` still reaches the precise cause.
+//! typed errors — [`GeomError`] for geometry, [`SolverError`] for the
+//! numerical solvers, [`PersistError`] for model (de)serialization — and
+//! `SelearnError` wraps each with a `From` impl so `?` composes across the
+//! stack while `matches!` still reaches the precise cause.
 //!
 //! Design rules (see DESIGN.md, "Error handling"):
 //!

@@ -33,7 +33,6 @@ pub mod assemble;
 pub mod error;
 pub mod estimator;
 pub mod frozen;
-pub mod gausshist;
 pub mod online;
 pub mod persist;
 pub mod ptshist;
@@ -48,7 +47,6 @@ pub use assemble::assemble_design_matrix;
 pub use error::{check_labels, SelearnError};
 pub use estimator::{BoxedEstimator, SelectivityEstimator, SharedEstimator, TrainingQuery};
 pub use frozen::FrozenEstimator;
-pub use gausshist::{GaussHist, GaussHistConfig};
 pub use online::{OnlineQuadHist, OnlineSnapshot};
 pub use persist::{
     load_frozen, load_ptshist, load_quadhist, save_ptshist, save_quadhist, PersistError,

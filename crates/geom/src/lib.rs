@@ -38,7 +38,6 @@ pub mod range;
 pub mod rect;
 pub mod sampling;
 pub mod semialgebraic;
-pub mod special;
 pub mod volume;
 
 pub use arrangement::{grid_arrangement, Arrangement};
@@ -51,7 +50,6 @@ pub use range::{Range, RangeClass, RangeQuery};
 pub use rect::Rect;
 pub use sampling::{sample_in_range, sample_in_rect, RejectionSampler};
 pub use semialgebraic::{Polynomial, SemiAlgebraicSet};
-pub use special::{erf, erfc, inv_std_normal_cdf, normal_mass, std_normal_cdf};
 pub use volume::{VolumeEstimator, VolumeMethod};
 
 /// Numerical tolerance used throughout geometric predicates.

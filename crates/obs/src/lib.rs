@@ -5,7 +5,7 @@
 //! from scratch on `std` alone (the workspace is offline-vendored; no
 //! registry crates). It provides four instruments:
 //!
-//! * **Spans** — RAII timing guards ([`span`] / the [`span!`] macro) that
+//! * **Spans** — RAII timing guards ([`span()`] / the [`span!`] macro) that
 //!   nest through a thread-local stack into a hierarchical timing tree
 //!   (`fit.quadhist/assemble`, …);
 //! * **Counters & gauges** — monotonic [`counter_add`] / latest-value
@@ -101,6 +101,13 @@ pub fn enable_stats(on: bool) {
 pub fn set_sink(sink: Arc<dyn ObsSink>) {
     *sink_slot().write().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(sink);
     SINK_INSTALLED.store(true, Ordering::Relaxed);
+}
+
+/// Creates (truncating) a JSON-lines trace file at `path` and installs it
+/// as the global event sink — what the binaries' `--trace-out` flag does.
+pub fn install_trace_file(path: &std::path::Path) -> std::io::Result<()> {
+    set_sink(Arc::new(JsonlSink::create(path)?));
+    Ok(())
 }
 
 /// Removes the global event sink (reverting to the implicit null sink).

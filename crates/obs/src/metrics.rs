@@ -96,7 +96,7 @@ const SUBS: usize = 4;
 /// `OCTAVES × SUBS` linear-in-octave slices.
 const BUCKETS: usize = 1 + OCTAVES * SUBS;
 
-/// Lock-free histogram: log₂ octaves split into [`SUBS`] linear
+/// Lock-free histogram: log₂ octaves split into `SUBS` linear
 /// sub-buckets, plus CAS-maintained exact min/max/sum, all `AtomicU64`.
 /// Non-finite and non-positive samples go to bucket 0 (they still
 /// count; min/max/sum skip non-finite values).

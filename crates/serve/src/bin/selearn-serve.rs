@@ -35,7 +35,7 @@ use std::sync::Arc;
 
 const USAGE: &str = "usage: selearn-serve (--model FILE | --synthetic DIM) \
 [--addr HOST:PORT] [--admin-addr HOST:PORT] [--workers N] [--queue N] \
-[--cache-capacity N] [--cache-grid N] [--deadline-ms N] [--run-secs N] [--stats] \
+[--cache-capacity N] [--deadline-ms N] [--run-secs N] [--stats] \
 [--synthetic-tenants N] [--tenant-rps X] [--tenant-burst X] \
 [--trace-out FILE] [--trace-sample-rate N] [--store-dir DIR] \
 [--checkpoint-every N] [--rollback GEN] [--drift-threshold X] \
@@ -50,7 +50,6 @@ fn main() {
     let workers = args.num::<usize>("--workers");
     let queue = args.num::<usize>("--queue");
     let cache_capacity = args.num::<usize>("--cache-capacity");
-    let cache_grid = args.num::<u32>("--cache-grid");
     let deadline_ms = args.num::<u64>("--deadline-ms");
     let run_secs = args.num::<u64>("--run-secs");
     let synthetic_tenants = args.num::<usize>("--synthetic-tenants");
@@ -72,7 +71,10 @@ fn main() {
         selearn_obs::enable_stats(true);
     }
     if let Some(path) = &trace_out {
-        install_trace_sink(path);
+        if let Err(e) = selearn_obs::install_trace_file(std::path::Path::new(path)) {
+            eprintln!("cannot open trace file {path}: {e}");
+            std::process::exit(2);
+        }
     }
 
     let (mut model, root): (selearn_core::SharedEstimator, selearn_geom::Rect) =
@@ -129,9 +131,6 @@ fn main() {
     }
     if let Some(cap) = cache_capacity {
         config.cache_capacity = cap;
-    }
-    if let Some(grid) = cache_grid {
-        config.cache_grid = grid;
     }
     if let Some(ms) = deadline_ms {
         config.deadline = std::time::Duration::from_millis(ms);
@@ -283,15 +282,5 @@ fn main() {
         _ => loop {
             std::thread::sleep(std::time::Duration::from_secs(3600));
         },
-    }
-}
-
-fn install_trace_sink(path: &str) {
-    match selearn_obs::JsonlSink::create(std::path::Path::new(path)) {
-        Ok(sink) => selearn_obs::set_sink(std::sync::Arc::new(sink)),
-        Err(e) => {
-            eprintln!("cannot open trace file {path}: {e}");
-            std::process::exit(2);
-        }
     }
 }

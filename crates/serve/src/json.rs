@@ -66,12 +66,16 @@ pub(crate) const MAX_DEPTH: usize = 32;
 
 /// Parses exactly one JSON value spanning the whole input (trailing
 /// whitespace allowed). Returns a human-readable error message otherwise.
+///
+/// Work is linear in the input length: the input is already valid UTF-8,
+/// and every delimiter the grammar looks for is ASCII, so the parser walks
+/// bytes and copies each string run between delimiters as one `&str`
+/// slice, never re-validating the rest of the line.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos, 0)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(format!("trailing garbage at byte {pos}"));
     }
     Ok(value)
@@ -83,25 +87,25 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(s: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
     if depth > MAX_DEPTH {
         return Err("nesting too deep".into());
     }
-    skip_ws(b, pos);
-    match b.get(*pos) {
+    skip_ws(s.as_bytes(), pos);
+    match s.as_bytes().get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos, depth),
-        Some(b'[') => parse_arr(b, pos, depth),
-        Some(b'"') => parse_str(b, pos).map(Json::Str),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(_) => parse_num(b, pos),
+        Some(b'{') => parse_obj(s, pos, depth),
+        Some(b'[') => parse_arr(s, pos, depth),
+        Some(b'"') => parse_str(s, pos).map(Json::Str),
+        Some(b't') => parse_lit(s, pos, "true", Json::Bool(true)),
+        Some(b'f') => parse_lit(s, pos, "false", Json::Bool(false)),
+        Some(b'n') => parse_lit(s, pos, "null", Json::Null),
+        Some(_) => parse_num(s, pos),
     }
 }
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
+fn parse_lit(s: &str, pos: &mut usize, lit: &str, value: Json) -> Result<Json, String> {
+    if s.as_bytes()[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(value)
     } else {
@@ -109,23 +113,36 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Json, 
     }
 }
 
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_num(s: &str, pos: &mut usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     let start = *pos;
     while *pos < b.len()
         && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
     {
         *pos += 1;
     }
-    let tok = std::str::from_utf8(&b[start..*pos]).map_err(|_| "bad utf-8".to_string())?;
+    // ASCII bytes end on a char boundary, so the slice cannot split one
+    let tok = &s[start..*pos];
     tok.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| format!("bad number '{tok}'"))
 }
 
-fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_str(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     *pos += 1; // opening quote
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote, backslash or control byte in
+        // one slice. All three are ASCII, and UTF-8 never uses an ASCII
+        // byte inside a multi-byte sequence, so the run ends on a char
+        // boundary and every raw control character is one such byte.
+        let run = b[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+            .map_or(b.len(), |n| *pos + n);
+        out.push_str(&s[*pos..run]);
+        *pos = run;
         match b.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
@@ -164,16 +181,7 @@ fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // copy one UTF-8 scalar (multi-byte sequences included)
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|_| "bad utf-8")?;
-                let c = s.chars().next().ok_or("unterminated string")?;
-                if (c as u32) < 0x20 {
-                    return Err("raw control character in string".into());
-                }
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(_) => return Err("raw control character in string".into()),
         }
     }
 }
@@ -186,7 +194,8 @@ fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
         .ok_or_else(|| "bad \\u escape".into())
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_arr(s: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     *pos += 1; // '['
     let mut out = Vec::new();
     skip_ws(b, pos);
@@ -195,7 +204,7 @@ fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
         return Ok(Json::Arr(out));
     }
     loop {
-        out.push(parse_value(b, pos, depth + 1)?);
+        out.push(parse_value(s, pos, depth + 1)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -208,7 +217,8 @@ fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_obj(s: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let b = s.as_bytes();
     *pos += 1; // '{'
     let mut out = BTreeMap::new();
     skip_ws(b, pos);
@@ -221,13 +231,13 @@ fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
         if b.get(*pos) != Some(&b'"') {
             return Err("expected object key".into());
         }
-        let key = parse_str(b, pos)?;
+        let key = parse_str(s, pos)?;
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b':') {
             return Err("expected ':' after key".into());
         }
         *pos += 1;
-        let value = parse_value(b, pos, depth + 1)?;
+        let value = parse_value(s, pos, depth + 1)?;
         out.insert(key, value);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -268,7 +278,7 @@ mod tests {
     fn rejects_malformed_input() {
         for bad in [
             "", "{", "[1,", r#"{"a"}"#, r#"{"a":}"#, "nul", "1.2.3", "{} extra",
-            "\"unterminated", "\"bad \\q escape\"",
+            "\"unterminated", "\"bad \\q escape\"", "\"abc\u{1}\"", "\"é\u{1f}x\"",
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -280,6 +290,7 @@ mod tests {
             parse(r#""\u00e9\ud83d\ude00""#).unwrap(),
             Json::Str("é😀".into())
         );
+        assert_eq!(parse("\"é\\u0041😀\"").unwrap(), Json::Str("éA😀".into()));
         for bad in [
             r#""\ud800""#,
             r#""\udc00""#,
@@ -291,6 +302,40 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad}");
         }
+    }
+
+    /// Parse time grows linearly with the string length: a 64 KiB `est`
+    /// (16× the bytes) must take less than 48× as long as a 4 KiB one;
+    /// linear parsing measures ≈14–20×, and a parser that re-validates the
+    /// rest of the line per character ≈300×. The bound is a ratio on one
+    /// host, so no absolute speed is assumed; each side is the fastest of
+    /// nine samples.
+    #[test]
+    fn string_parse_time_is_linear_in_length() {
+        use std::time::{Duration, Instant};
+        fn line(bytes: usize) -> String {
+            // two-byte characters, so the run copy meets multi-byte UTF-8
+            format!(
+                r#"{{"est":"{}","lo":[0.1],"hi":[0.2]}}"#,
+                "é".repeat(bytes / 2)
+            )
+        }
+        fn fastest(line: &str, parses: usize) -> Duration {
+            (0..9)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    for _ in 0..parses {
+                        assert!(parse(std::hint::black_box(line)).is_ok());
+                    }
+                    t0.elapsed()
+                })
+                .min()
+                .unwrap()
+        }
+        let (short, long) = (line(4 * 1024), line(64 * 1024));
+        // 16 short parses cover the bytes of one long parse
+        let ratio = 16.0 * fastest(&long, 1).as_secs_f64() / fastest(&short, 16).as_secs_f64();
+        assert!(ratio < 48.0, "64 KiB parse took {ratio:.1}x a 4 KiB one");
     }
 
     #[test]

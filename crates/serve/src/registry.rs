@@ -34,8 +34,8 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 /// A refilling token-bucket rate limiter: `rate` tokens per second,
-/// holding at most `burst`. One token per request; [`try_take`]
-/// (Self::try_take) never blocks.
+/// holding at most `burst`. One token per request;
+/// [`try_take`](Self::try_take) never blocks.
 pub struct TokenBucket {
     rate: f64,
     burst: f64,

@@ -22,7 +22,7 @@
 //!   thread, no timer, no wakeups.
 //! * With [`ServerConfig::admin_addr`] set, the poller also owns the
 //!   **admin listener**: each admin connection's HTTP request is answered
-//!   on the poller through its [`ConnWriter`] — no queue, no worker.
+//!   on the poller through its `ConnWriter` — no queue, no worker.
 //! * **Admission happens on the poller**: each complete line is parsed
 //!   once, its model slot resolved, and its tenant's token bucket
 //!   consulted. Over-quota requests answer the uniform fallback with
@@ -31,7 +31,7 @@
 //!   before. Admitted jobs carry the parsed request and the slot handle,
 //!   so workers never re-parse.
 //! * **Workers** drain jobs in batches ([`BoundedQueue::pop_batch`], up
-//!   to [`MAX_WORKER_BATCH`] per lock acquisition) and answer each batch
+//!   to `MAX_WORKER_BATCH` per lock acquisition) and answer each batch
 //!   in two passes. The *prepare* pass validates shapes, checks
 //!   deadlines, probes the tenant-partitioned estimate cache through a
 //!   reusable borrowed [`CacheKey`] (steady-state hits allocate nothing),
@@ -39,7 +39,7 @@
 //!   rather than blocking behind a hot-swap). The *evaluate* pass groups
 //!   consecutive same-model requests and answers each run with one
 //!   allocation-free `estimate_into` call.
-//! * **Responses** go through each connection's [`ConnWriter`]: a direct
+//! * **Responses** go through each connection's `ConnWriter`: a direct
 //!   nonblocking write when the socket has room, otherwise the remainder
 //!   lands in a bounded per-connection buffer and the poller re-arms the
 //!   socket with `POLLOUT` to finish the flush — a slow client can never
@@ -86,15 +86,9 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Estimate-cache entries **per tenant** (0 disables the cache).
     pub cache_capacity: usize,
-    /// Cache shard count (per tenant partition).
-    pub cache_shards: usize,
-    /// Cache-key quantization grid (cells per dimension).
-    pub cache_grid: u32,
     /// Queue-wait budget per request; `Duration::ZERO` disables deadline
     /// degradation.
     pub deadline: Duration,
-    /// Hard cap on one request line; longer lines end the connection.
-    pub max_line_bytes: usize,
     /// Per-connection response buffer cap: a client that falls further
     /// behind than this is dropped (`serve.slow_client_drops`) instead of
     /// buffering unboundedly.
@@ -122,10 +116,7 @@ impl Default for ServerConfig {
             workers: 4,
             queue_capacity: 256,
             cache_capacity: 4096,
-            cache_shards: 8,
-            cache_grid: 64,
             deadline: Duration::from_millis(100),
-            max_line_bytes: 64 * 1024,
             max_conn_write_buffer: 1024 * 1024,
             tenant_quota_rps: 0.0,
             tenant_quota_burst: 64.0,
@@ -354,6 +345,15 @@ enum JobKind {
     Feedback(Feedback),
 }
 
+/// Cache-key quantization grid (cells per dimension).
+const CACHE_GRID: u32 = 64;
+
+/// Estimate-cache lock shards per tenant partition.
+const CACHE_SHARDS: usize = 8;
+
+/// Hard cap on one request line; longer lines end the connection.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
 /// Jobs drained per [`BoundedQueue::pop_batch`] call. Bounds the worker's
 /// reusable buffers and the queueing delay any single request can pick up
 /// behind the rest of its batch.
@@ -485,7 +485,7 @@ impl ServerHandle {
     }
 
     /// Stops accepting and reading, drains queued work through the
-    /// workers, flushes buffered responses (bounded by [`DRAIN_TIMEOUT`]
+    /// workers, flushes buffered responses (bounded by `DRAIN_TIMEOUT`
     /// per slow client), and joins every thread.
     pub fn shutdown(mut self) {
         // Phase 1: the poller stops accepting and reading, but keeps
@@ -538,10 +538,7 @@ pub fn start_with_feedback(
         registry.set_default_quota(config.tenant_quota_rps, config.tenant_quota_burst);
     }
 
-    let cache = Arc::new(EstimateCache::new(
-        config.cache_capacity.max(1),
-        config.cache_shards,
-    ));
+    let cache = Arc::new(EstimateCache::new(config.cache_capacity.max(1), CACHE_SHARDS));
     let stats = Arc::new(ServeStats::default());
     let stop = Arc::new(AtomicBool::new(false));
     let drain = Arc::new(AtomicBool::new(false));
@@ -787,7 +784,7 @@ fn read_ready(c: &mut Conn, chunk: &mut [u8], sh: &PollerShared) -> bool {
                     }
                     admit_line(line, &c.writer, sh);
                 }
-                if c.buf.len() > sh.config.max_line_bytes {
+                if c.buf.len() > MAX_LINE_BYTES {
                     respond_error(
                         &c.writer,
                         &sh.stats,
@@ -1102,7 +1099,7 @@ fn prepare_job(
     // clones the key. The shape discriminant joins the key so equal cell
     // vectors from different families can never alias.
     let key_ok = config.cache_capacity > 0
-        && quantize_shape_key_into(slot.root(), &req.shape, config.cache_grid, &mut scratch.cells);
+        && quantize_shape_key_into(slot.root(), &req.shape, CACHE_GRID, &mut scratch.cells);
     if key_ok {
         scratch.model = slot.id();
         scratch.generation = generation;

@@ -88,10 +88,12 @@ fn mixed_shape_requests_round_trip_end_to_end() {
     // The tentpole acceptance test: a model trained on a mixed-shape
     // workload serves rect, halfspace, and ball queries over a real
     // socket — correct non-degraded answers, per-shape counters, a
-    // shape-aware cache, and typed errors for non-finite parameters.
+    // shape-aware cache, typed errors for non-finite parameters, and
+    // computed answers bitwise equal to the in-process model's.
     let (model, root) = synthetic_mixed_model(2, 360, 11).expect("mixed synthetic fit");
+    let model: SharedEstimator = Arc::new(model);
     let registry = Arc::new(ModelRegistry::new());
-    registry.register(DEFAULT_MODEL, Arc::new(model), root);
+    registry.register(DEFAULT_MODEL, Arc::clone(&model), root);
     let handle = start(ServerConfig::default(), registry).expect("server start");
     let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
 
@@ -181,6 +183,50 @@ fn mixed_shape_requests_round_trip_end_to_end() {
     }
     let resp = client.call(&probes[1]).expect("call after errors");
     assert!(matches!(resp, Response::Estimate { cached: true, .. }));
+
+    // Differential check: a random pool of a few hundred shapes, pipelined
+    // 32 at a time so workers answer batches. Every answer the server
+    // computed (neither degraded nor cached) must carry the bits of the
+    // in-process model's estimate on the same shape.
+    let pool = synthetic_mixed_requests(2, 300, 41);
+    let mut computed = 0;
+    for (chunk_no, chunk) in pool.chunks(32).enumerate() {
+        for (i, req) in chunk.iter().enumerate() {
+            let id = (chunk_no * 32 + i) as u64;
+            let line = Request {
+                id: Some(id),
+                ..req.clone()
+            }
+            .to_json();
+            client.send_line(&line).expect("send pipelined");
+        }
+        for _ in chunk {
+            let resp = client.recv().expect("recv pipelined");
+            let Response::Estimate {
+                id: Some(id),
+                sel,
+                degraded: None,
+                cached: false,
+                ..
+            } = resp
+            else {
+                continue;
+            };
+            let req = &pool[id as usize];
+            let range = req.shape.to_range().expect("pool shapes are valid");
+            assert_eq!(
+                sel.to_bits(),
+                model.estimate(&range).to_bits(),
+                "served {} answer {sel} differs from the model's",
+                req.shape.kind().as_str()
+            );
+            computed += 1;
+        }
+    }
+    assert!(
+        computed >= pool.len() / 2,
+        "only {computed} answers were computed"
+    );
 
     handle.shutdown();
 }

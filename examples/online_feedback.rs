@@ -1,21 +1,14 @@
-//! Streaming query feedback and the Gaussian-mixture extension.
+//! Streaming query feedback.
 //!
 //! ```text
 //! cargo run --release --example online_feedback
 //! ```
 //!
-//! Two features beyond the paper's batch experiments:
-//!
-//! 1. **Online learning** — production optimizers receive selectivity
-//!    feedback one executed query at a time. `OnlineQuadHist` refines its
-//!    partition per observation (Algorithm 2 is naturally incremental;
-//!    Lemma A.4 makes arrival order irrelevant) and refits weights
-//!    periodically. We track test error as the stream progresses.
-//! 2. **GaussHist** — the paper's conclusion poses Gaussian-mixture
-//!    learning as an open problem; `GaussHist` solves its convex relative
-//!    (kernels fixed, weights learned by Equation 8) and is compared
-//!    against QuadHist/PtsHist on the same workload. SQL-style predicates
-//!    from the `predicate` module drive the final comparison.
+//! Production optimizers receive selectivity feedback one executed query
+//! at a time. `OnlineQuadHist` refines its partition per observation
+//! (Algorithm 2 is naturally incremental; Lemma A.4 makes arrival order
+//! irrelevant) and refits weights periodically. We track test error as the
+//! stream progresses.
 
 use selearn::prelude::*;
 
@@ -56,56 +49,5 @@ fn main() -> Result<(), SelearnError> {
     }
     assert!(improvements >= 3, "the learning curve should mostly descend");
 
-    // --- batch comparison including the Gaussian-mixture extension ---
-    let train = to_training(&stream);
-    let quad = QuadHist::fit_with_bucket_target(
-        Rect::unit(2),
-        &train,
-        2000,
-        &QuadHistConfig::default(),
-    )?;
-    let pts = PtsHist::fit(
-        Rect::unit(2),
-        &train,
-        &PtsHistConfig::with_model_size(2000),
-    )?;
-    let gauss = GaussHist::fit(
-        Rect::unit(2),
-        &train,
-        &GaussHistConfig::with_model_size(2000).bandwidth(0.03),
-    )?;
-    println!("\nbatch models on the same 500-query workload:");
-    for m in [
-        &quad as &dyn SelectivityEstimator,
-        &pts,
-        &gauss,
-    ] {
-        let r = evaluate(m, &test);
-        println!(
-            "  {:<10} rms = {:.5}  l_inf = {:.5}  q99 = {:.3}",
-            m.name(),
-            r.rms,
-            r.l_inf,
-            r.q_error.p99
-        );
-    }
-
-    // --- SQL-style ad-hoc estimation ---
-    println!("\nad-hoc SQL predicates (schema: power, intensity):");
-    for sql in [
-        "power <= 0.2 AND intensity BETWEEN 0.0 AND 0.3",
-        "0.5*power + 0.5*intensity <= 0.25",
-        "dist(power, intensity; 0.1, 0.1) <= 0.15",
-    ] {
-        let range = selearn::predicate::parse_predicate(sql, &["power", "intensity"])
-            .expect("valid predicate");
-        println!(
-            "  {:<48} true = {:.4}  GaussHist = {:.4}  QuadHist = {:.4}",
-            sql,
-            data.selectivity(&range),
-            gauss.estimate(&range),
-            quad.estimate(&range),
-        );
-    }
     Ok(())
 }

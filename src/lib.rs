@@ -46,18 +46,20 @@
 //! |---|---|
 //! | [`geom`] | ranges, intersection volumes, sampling, arrangements |
 //! | [`solver`] | NNLS, FISTA, LP simplex, IPF, L∞ fitting |
-//! | [`data`] | datasets, workloads, metrics |
-//! | [`core`] | QuadHist, PtsHist, ArrangementHist, weight estimation |
+//! | [`data`] | datasets, CSV loading, workloads, metrics |
+//! | [`core`] | QuadHist, PtsHist, ArrangementHist, OnlineQuadHist, weight estimation, persistence |
 //! | [`baselines`] | ISOMER, QuickSel, uniformity baseline |
 //! | [`theory`] | VC/fat-shattering oracles, sample-complexity bounds |
+//!
+//! This facade adds only [`to_training`], [`evaluate`] and the
+//! [`prelude`]. Serving a saved model over TCP and durable online
+//! feedback live in the `selearn-serve` and `selearn-store` crates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // The panic-free gate: unwrap/expect are banned outside test code
 // (clippy.toml exempts #[cfg(test)]); CI runs clippy with -D warnings.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
-
-pub mod predicate;
 
 pub use selearn_baselines as baselines;
 pub use selearn_core as core;
@@ -116,11 +118,10 @@ pub mod prelude {
     pub use crate::{evaluate, to_training, EvalReport};
     pub use rand::SeedableRng;
     pub use selearn_baselines::{Isomer, IsomerConfig, QuickSel, QuickSelConfig, UniformBaseline};
-    pub use crate::predicate::parse_predicate;
     pub use selearn_core::{
-        ArrangementHist, ArrangementHistConfig, FrozenEstimator, GaussHist, GaussHistConfig,
-        Objective, OnlineQuadHist, PtsHist, PtsHistConfig, QuadHist, QuadHistConfig,
-        SelearnError, SelectivityEstimator, TrainingQuery, WeightSolver,
+        ArrangementHist, ArrangementHistConfig, FrozenEstimator, Objective, OnlineQuadHist,
+        PtsHist, PtsHistConfig, QuadHist, QuadHistConfig, SelearnError, SelectivityEstimator,
+        TrainingQuery, WeightSolver,
     };
     pub use selearn_data::{
         census_like, dmv_like, forest_like, power_like, CenterDistribution, Dataset, QueryType,

@@ -134,21 +134,6 @@ fn online_quadhist_refits_are_pinned() {
 }
 
 #[test]
-fn gausshist_weights_are_pinned() {
-    let train = workload(64, 4);
-    let got = golden(|| {
-        let m = GaussHist::fit(
-            Rect::unit(2),
-            &train,
-            &GaussHistConfig::with_model_size(128),
-        )
-        .unwrap();
-        m.components().map(|(_, w)| w).collect()
-    });
-    check("gausshist", got, 0xc511_699f_f781_32f7);
-}
-
-#[test]
 fn quicksel_weights_are_pinned() {
     let train = workload(64, 5);
     let got = golden(|| {
