@@ -127,12 +127,6 @@ pub enum SelearnError {
         /// What failed.
         what: String,
     },
-    /// The store manifest is unreadable or points at state that does not
-    /// exist.
-    ManifestCorrupt {
-        /// What failed.
-        what: String,
-    },
     /// A rollback or checkpoint lookup named a generation the store does
     /// not retain.
     UnknownGeneration {
@@ -181,9 +175,6 @@ impl fmt::Display for SelearnError {
             } => write!(f, "wal corruption in {segment} at byte {offset}: {what}"),
             SelearnError::CheckpointCorrupt { generation, what } => {
                 write!(f, "checkpoint generation {generation} is corrupt: {what}")
-            }
-            SelearnError::ManifestCorrupt { what } => {
-                write!(f, "store manifest is corrupt: {what}")
             }
             SelearnError::UnknownGeneration { requested, retained } => write!(
                 f,

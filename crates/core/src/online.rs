@@ -239,7 +239,7 @@ impl OnlineQuadHist {
     /// Returns [`SelearnError::InvalidConfig`] on a bad config, or
     /// [`SelearnError::CorruptModel`] when the snapshot is internally
     /// inconsistent (arena/weight length mismatch, non-finite weight,
-    /// invalid history label, window over the cap).
+    /// invalid history label, window over the cap, a refit overdue).
     pub fn restore(
         root: Rect,
         config: QuadHistConfig,
@@ -261,6 +261,16 @@ impl OnlineQuadHist {
         if let Some(w) = snapshot.node_weight.iter().find(|w| !w.is_finite()) {
             return Err(SelearnError::CorruptModel {
                 what: format!("snapshot contains non-finite node weight {w}"),
+            });
+        }
+        // `observe` refits (and resets the count) the moment it reaches
+        // `refit_every`, so a snapshot can never hold a larger one.
+        if snapshot.observed_since_refit >= refit_every {
+            return Err(SelearnError::CorruptModel {
+                what: format!(
+                    "snapshot has {} observations since a refit due every {refit_every}",
+                    snapshot.observed_since_refit
+                ),
             });
         }
         if history_cap > 0 && snapshot.history.len() > history_cap {
@@ -592,6 +602,13 @@ mod tests {
         bad_hist.history[0].selectivity = -0.5;
         assert!(matches!(
             OnlineQuadHist::restore(Rect::unit(2), cfg.clone(), 4, 0, bad_hist),
+            Err(SelearnError::CorruptModel { .. })
+        ));
+
+        let mut overdue = good.clone();
+        overdue.observed_since_refit = 4;
+        assert!(matches!(
+            OnlineQuadHist::restore(Rect::unit(2), cfg.clone(), 4, 0, overdue),
             Err(SelearnError::CorruptModel { .. })
         ));
 

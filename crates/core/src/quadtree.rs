@@ -151,7 +151,7 @@ impl QuadTree {
             match first_child[i] {
                 None => num_leaves += 1,
                 Some(first) => {
-                    if first <= i || first + fanout > n {
+                    if first <= i || first >= n || n - first < fanout {
                         return Err(SelearnError::CorruptModel {
                             what: format!("arena node {i} links children at {first}"),
                         });
@@ -273,6 +273,9 @@ mod tests {
         assert!(QuadTree::from_arena(Rect::unit(2), &[Some(1), None, None]).is_err());
         // child block out of range
         assert!(QuadTree::from_arena(Rect::unit(2), &[Some(3), None, None, None, None]).is_err());
+        // child block whose end overflows usize
+        let links = [Some(usize::MAX), None, None, None, None];
+        assert!(QuadTree::from_arena(Rect::unit(2), &links).is_err());
         // child index not past its parent
         let links = [Some(1), None, None, None, None, Some(1), None, None, None];
         assert!(QuadTree::from_arena(Rect::unit(2), &links).is_err());

@@ -72,6 +72,22 @@ pub fn sanitize(name: &str) -> (String, &str) {
     (out, labels)
 }
 
+/// Escapes a label value for the text exposition: `\`, `"` and newline
+/// become `\\`, `\"` and `\n`, so any string (a model or tenant
+/// name from a client) renders as one well-formed `{label="value"}`.
+pub fn escape_label_value(value: &str) -> String {
+    let mut escaped = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '\\' => escaped.push_str("\\\\"),
+            '"' => escaped.push_str("\\\""),
+            '\n' => escaped.push_str("\\n"),
+            c => escaped.push(c),
+        }
+    }
+    escaped
+}
+
 /// Formats a sample value the way the exposition format expects:
 /// `NaN`, `+Inf`, `-Inf`, or the shortest round-trip decimal.
 fn fmt_value(out: &mut String, v: f64) {
@@ -195,6 +211,12 @@ mod tests {
         );
         assert_eq!(sanitize("1weird-name"), ("_1weird_name".into(), ""));
         assert_eq!(sanitize("solver:residual"), ("solver:residual".into(), ""));
+    }
+
+    #[test]
+    fn label_values_are_escaped() {
+        assert_eq!(escape_label_value("default"), "default");
+        assert_eq!(escape_label_value("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -167,26 +167,29 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        if let Some(generation) = rollback {
-            if let Err(e) = store.rollback(generation) {
-                eprintln!("cannot roll back to generation {generation}: {e}");
-                std::process::exit(1);
-            }
-            println!("{{\"rolled_back\":{generation}}}");
-        }
         // Machine-readable recovery summary: what the store found on disk
         // (the CI crash smoke greps this after a kill -9).
         let r = store.recovery();
         println!(
-            "{{\"recovered\":{{\"generation\":{},\"checkpoint_lsn\":{},\"replayed\":{},\"truncated_bytes\":{},\"torn_tail\":{},\"manifest_fallback\":{},\"last_lsn\":{}}}}}",
+            "{{\"recovered\":{{\"generation\":{},\"checkpoint_lsn\":{},\"replayed\":{},\"truncated_bytes\":{},\"torn_tail\":{},\"skipped_checkpoints\":{},\"last_lsn\":{}}}}}",
             r.generation,
             r.checkpoint_lsn,
             r.replayed_records,
             r.truncated_bytes,
             r.torn_tail.is_some(),
-            r.manifest_fallback,
+            r.skipped_checkpoints,
             store.last_lsn(),
         );
+        if let Some(generation) = rollback {
+            if let Err(e) = store.rollback(generation) {
+                eprintln!("cannot roll back to generation {generation}: {e}");
+                std::process::exit(1);
+            }
+            println!(
+                "{{\"rolled_back\":{{\"generation\":{generation},\"last_lsn\":{}}}}}",
+                store.last_lsn()
+            );
+        }
         // Serve what the store learned, not the stale base artifact —
         // the base model only seeds a store with no history.
         if store.model().observations() > 0 {

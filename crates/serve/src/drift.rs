@@ -14,10 +14,10 @@
 //! `serve.drift_alarms` counter, a `serve.drift_alarm{model="…"}` gauge of
 //! 1, and a flipped `/readyz` detail — until a healthy window clears it.
 //!
-//! Scoring happens at the WAL-ack point (the store's observe hook), i.e.
-//! *before* the label reaches the online model, so the monitor measures
-//! what the serving fleet actually answered, not what the model would say
-//! after learning from this very record.
+//! Scoring happens at the WAL-ack point, as soon as the append is durable
+//! and before any checkpoint swaps the label into the served model, so
+//! the monitor measures what the serving fleet actually answered, not
+//! what the model would say after learning from this very record.
 
 use crate::registry::ModelRegistry;
 use selearn_core::{q_error, TrainingQuery};
@@ -94,11 +94,6 @@ impl DriftMonitor {
             registry,
             state: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
     }
 
     /// Scores one acknowledged feedback record against the model currently
@@ -205,16 +200,7 @@ fn window_quantile(sorted: &[f64], q: f64) -> f64 {
 /// Renders the `{model="…"}` label suffix used on per-model registry
 /// names, escaping the value per the Prometheus label grammar.
 fn model_label(name: &str) -> String {
-    let mut escaped = String::with_capacity(name.len());
-    for c in name.chars() {
-        match c {
-            '\\' => escaped.push_str("\\\\"),
-            '"' => escaped.push_str("\\\""),
-            '\n' => escaped.push_str("\\n"),
-            c => escaped.push(c),
-        }
-    }
-    format!("{{model=\"{escaped}\"}}")
+    format!("{{model=\"{}\"}}", selearn_obs::expo::escape_label_value(name))
 }
 
 #[cfg(test)]

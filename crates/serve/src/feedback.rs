@@ -18,8 +18,8 @@
 //!   error, no ack, and may retry;
 //! * a **checkpoint or freeze failure after a durable append** does *not*
 //!   fail the observe — the record is already history, so the ack stands
-//!   and the failure is parked in [`DurableFeedback::take_error`] and the
-//!   `serve.feedback_checkpoint_errors` counter instead.
+//!   and the failure is logged as a warning and counted in
+//!   `serve.feedback_checkpoint_errors` instead.
 
 use crate::drift::DriftMonitor;
 use crate::registry::ModelRegistry;
@@ -71,7 +71,6 @@ pub struct DurableFeedback {
     registry: Arc<ModelRegistry>,
     model_name: String,
     checkpoint_every: u64,
-    last_error: Mutex<Option<SelearnError>>,
     drift: Mutex<Option<Arc<DriftMonitor>>>,
 }
 
@@ -93,7 +92,6 @@ impl DurableFeedback {
             registry,
             model_name: model_name.to_string(),
             checkpoint_every,
-            last_error: Mutex::new(None),
             drift: Mutex::new(None),
         }
     }
@@ -113,36 +111,19 @@ impl DurableFeedback {
         Ok(generation)
     }
 
-    /// Routes every WAL-acked record through `monitor` before it reaches
-    /// the online model: the store's observe hook fires at the ack point,
-    /// so the monitor scores exactly what was durably acknowledged,
-    /// against the model the fleet was serving at that moment. The
-    /// monitor's alarms also feed [`FeedbackSink::drift_alarms`].
+    /// Scores every WAL-acked record with `monitor`, replacing any
+    /// previous one: the score is taken as soon as the append is durable
+    /// and before any checkpoint or swap, so the monitor judges exactly
+    /// what was acknowledged against the model the fleet was serving at
+    /// that moment. The monitor's alarms also feed
+    /// [`FeedbackSink::drift_alarms`].
     pub fn attach_drift(&self, monitor: Arc<DriftMonitor>) {
-        let name = self.model_name.clone();
-        let scorer = Arc::clone(&monitor);
-        self.store()
-            .set_observe_hook(Box::new(move |_lsn, feedback| {
-                scorer.score(&name, feedback);
-            }));
         *self.drift.lock().unwrap_or_else(PoisonError::into_inner) = Some(monitor);
-    }
-
-    /// Takes the most recent post-ack failure (checkpoint or freeze), if
-    /// any. See the module docs.
-    pub fn take_error(&self) -> Option<SelearnError> {
-        self.last_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
     }
 
     fn park_error(&self, e: SelearnError) {
         selearn_obs::counter_add("serve.feedback_checkpoint_errors", 1);
-        *self
-            .last_error
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some(e);
+        selearn_obs::warn!("{} after a durable feedback append: {e}", self.model_name);
     }
 
     /// Hot-swaps the online model's own layout — its current partition
@@ -166,7 +147,16 @@ impl DurableFeedback {
 impl FeedbackSink for DurableFeedback {
     fn observe(&self, feedback: TrainingQuery) -> Result<FeedbackAck, SelearnError> {
         let mut store = self.store();
+        let scored = self
+            .drift
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .as_ref()
+            .map(|monitor| (Arc::clone(monitor), feedback.clone()));
         let lsn = store.observe(feedback)?;
+        if let Some((monitor, feedback)) = scored {
+            monitor.score(&self.model_name, &feedback);
+        }
         if let Some(e) = store.take_refit_error() {
             self.park_error(e);
         }

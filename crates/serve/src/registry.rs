@@ -104,12 +104,13 @@ pub struct Tenant {
 
 impl Tenant {
     fn new(id: u32, namespace: &str) -> Self {
+        let label = selearn_obs::expo::escape_label_value(namespace);
         Self {
             id,
             namespace: namespace.to_string(),
             bucket: RwLock::new(None),
-            requests_counter: format!("serve.tenant_requests{{tenant=\"{namespace}\"}}"),
-            quota_shed_counter: format!("serve.tenant_quota_shed{{tenant=\"{namespace}\"}}"),
+            requests_counter: format!("serve.tenant_requests{{tenant=\"{label}\"}}"),
+            quota_shed_counter: format!("serve.tenant_quota_shed{{tenant=\"{label}\"}}"),
         }
     }
 

@@ -194,6 +194,67 @@ fn concurrent_scrapes_stay_valid_during_1k_request_soak() {
     selearn_obs::enable_stats(false);
 }
 
+/// Decodes a `{key="value"}` label suffix written with the exposition's
+/// escapes (`\\`, `\"`, `\n`); `None` when it does not parse as one.
+fn decode_single_label(labels: &str, key: &str) -> Option<String> {
+    let rest = labels.strip_prefix('{')?.strip_prefix(key)?.strip_prefix("=\"")?;
+    let mut value = String::new();
+    let mut chars = rest.chars();
+    loop {
+        match chars.next()? {
+            '"' => break,
+            '\\' => match chars.next()? {
+                '\\' => value.push('\\'),
+                '"' => value.push('"'),
+                'n' => value.push('\n'),
+                _ => return None,
+            },
+            c => value.push(c),
+        }
+    }
+    (chars.as_str() == "}").then_some(value)
+}
+
+/// A tenant namespace carrying `"` and `\` still renders as one
+/// well-formed per-tenant series whose label decodes back to the name.
+#[test]
+fn tenant_labels_are_escaped_in_the_exposition() {
+    let _g = OBS_LOCK.lock().unwrap();
+    selearn_obs::enable_stats(true);
+
+    let name = "a\"b\\c.m";
+    let (model, root) = synthetic_model(2, 200, 11).expect("synthetic fit");
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register(name, Arc::new(model), root);
+    let handle = start(with_admin(), registry).expect("server");
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+    let resp = client
+        .call(&Request::rect(name, vec![0.2, 0.2], vec![0.5, 0.5], Some(1)))
+        .expect("estimate");
+    assert!(matches!(resp, Response::Estimate { degraded: None, .. }), "{resp:?}");
+
+    let (status, body) = http_get(&admin_addr(&handle), "/metrics");
+    assert_eq!(status, 200);
+    check_exposition(&body, "");
+    let counted: Vec<(String, &str)> = body
+        .lines()
+        .filter_map(|line| {
+            let (series, value) = line.rsplit_once(' ')?;
+            let labels = series.strip_prefix("serve_tenant_requests")?;
+            let tenant = decode_single_label(labels, "tenant")
+                .unwrap_or_else(|| panic!("unparseable tenant series {line:?}"));
+            Some((tenant, value))
+        })
+        .collect();
+    assert!(
+        counted.contains(&("a\"b\\c".to_string(), "1")),
+        "{counted:?}\n{body}"
+    );
+
+    handle.shutdown();
+    selearn_obs::enable_stats(false);
+}
+
 #[test]
 fn readyz_flips_after_drift_alarm_and_recovers() {
     let _g = OBS_LOCK.lock().unwrap();

@@ -1,5 +1,4 @@
-//! Generational model checkpoints and the manifest that names the
-//! current one.
+//! Generational model checkpoints.
 //!
 //! A checkpoint (`ckpt-{generation:020}.sel`) is a line-oriented text
 //! file in the `core::persist` idiom — floats as 16-hex-digit IEEE-754
@@ -12,12 +11,12 @@
 //! under a different one before it can produce silently different
 //! estimates.
 //!
-//! The `MANIFEST` file holds one committed generation number and is
-//! replaced atomically (`MANIFEST.tmp` + rename), so "which model is
-//! current" flips in a single metadata operation. Checkpoint files are
-//! likewise written to a `.tmp` name and renamed, which means a crash
-//! mid-checkpoint leaves either no new file or a complete one — never a
-//! half-written checkpoint under a committed name.
+//! A checkpoint is written to a `.tmp` name, synced, and renamed into
+//! place, so a crash mid-checkpoint leaves either no new file or a
+//! complete one — never a half-written checkpoint under a committed
+//! name. That rename is the commit: the current generation is the
+//! newest checkpoint file that reads back clean, and no other file
+//! records it.
 
 use std::path::Path;
 
@@ -28,9 +27,6 @@ use crate::crc::crc32;
 use crate::record::{decode_payload, encode_payload};
 use crate::vfs::Vfs;
 
-/// The manifest file name.
-pub const MANIFEST: &str = "MANIFEST";
-const MANIFEST_MAGIC: &str = "SELMANIFEST v1";
 const CHECKPOINT_MAGIC: &str = "SELCKPT v1";
 
 /// Formats the checkpoint file name for a generation.
@@ -121,11 +117,9 @@ fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
         .collect()
 }
 
-/// Writes one checkpoint: serializes to `ckpt-….sel.tmp`, syncs, and
-/// atomically renames into place. Does **not** touch the manifest — the
-/// store commits the generation separately, so a crash between the two
-/// leaves the previous generation current and the new file orphaned but
-/// harmless.
+/// Writes and commits one checkpoint: serializes to `ckpt-….sel.tmp`,
+/// syncs, atomically renames into place and syncs the directory. Once
+/// this returns, the generation is current.
 pub fn write_checkpoint(
     vfs: &dyn Vfs,
     dir: &Path,
@@ -215,7 +209,7 @@ impl<'a> Lines<'a> {
 }
 
 /// Reads and fully validates one checkpoint: CRC trailer, magic, field
-/// structure, and the config fingerprint. Every failure is
+/// structure and counts, and the config fingerprint. Every failure is
 /// [`SelearnError::CheckpointCorrupt`] — the caller decides whether to
 /// fall back to an older generation or surface the error.
 pub fn read_checkpoint(
@@ -277,10 +271,13 @@ pub fn read_checkpoint(
             ),
         ));
     }
-    let nodes = lines.keyed_u64("nodes")? as usize;
+    // Counts are checked against what was actually parsed, never used to
+    // size an allocation: a CRC only proves the bytes are the ones that
+    // were written, not that whoever wrote them was honest.
+    let nodes = lines.keyed_u64("nodes")?;
 
     let arena_line = lines.keyed("arena")?;
-    let mut first_child = Vec::with_capacity(nodes);
+    let mut first_child = Vec::new();
     for tok in arena_line.split(' ').filter(|t| !t.is_empty()) {
         if tok == "-" {
             first_child.push(None);
@@ -291,7 +288,7 @@ pub fn read_checkpoint(
             first_child.push(Some(c));
         }
     }
-    if first_child.len() != nodes {
+    if first_child.len() as u64 != nodes {
         return Err(corrupt(
             generation,
             format!("arena has {} links for {nodes} nodes", first_child.len()),
@@ -299,21 +296,21 @@ pub fn read_checkpoint(
     }
 
     let weights_line = lines.keyed("weights")?;
-    let mut node_weight = Vec::with_capacity(nodes);
+    let mut node_weight = Vec::with_capacity(first_child.len());
     for tok in weights_line.split(' ').filter(|t| !t.is_empty()) {
         let bits = u64::from_str_radix(tok, 16)
             .map_err(|_| corrupt(generation, format!("bad weight `{tok}`")))?;
         node_weight.push(f64::from_bits(bits));
     }
-    if node_weight.len() != nodes {
+    if node_weight.len() != first_child.len() {
         return Err(corrupt(
             generation,
             format!("{} weights for {nodes} nodes", node_weight.len()),
         ));
     }
 
-    let m = lines.keyed_u64("history")? as usize;
-    let mut history: Vec<TrainingQuery> = Vec::with_capacity(m);
+    let m = lines.keyed_u64("history")?;
+    let mut history: Vec<TrainingQuery> = Vec::new();
     for i in 0..m {
         let hex = lines.keyed("q")?;
         let payload = hex_decode(hex)
@@ -327,6 +324,15 @@ pub fn read_checkpoint(
     if lines.lines.next().is_some() {
         return Err(corrupt(generation, "trailing content after counters"));
     }
+    // The store logs every record before the model observes it, so a
+    // checkpoint's model has observed exactly the records up to its LSN;
+    // and the log must still be able to number the record after it.
+    if total_observed as u64 != lsn || lsn == u64::MAX {
+        return Err(corrupt(
+            generation,
+            format!("model counts {total_observed} observations at lsn {lsn}"),
+        ));
+    }
 
     Ok(CheckpointData {
         generation,
@@ -339,64 +345,6 @@ pub fn read_checkpoint(
             observed_since_refit,
         },
     })
-}
-
-/// Atomically commits `generation` as current: writes `MANIFEST.tmp`,
-/// syncs, renames over `MANIFEST`, syncs the directory.
-pub fn write_manifest(vfs: &dyn Vfs, dir: &Path, generation: u64) -> Result<(), SelearnError> {
-    let mut body = String::new();
-    body.push_str(MANIFEST_MAGIC);
-    body.push('\n');
-    body.push_str(&format!("generation {generation}\n"));
-    body.push_str(&format!("crc {:08x}\n", crc32(body.as_bytes())));
-    let tmp = dir.join(format!("{MANIFEST}.tmp"));
-    let mut file = vfs.create(&tmp)?;
-    file.write_all(body.as_bytes())?;
-    file.sync()?;
-    drop(file);
-    vfs.rename(&tmp, &dir.join(MANIFEST))?;
-    vfs.sync_dir(dir)?;
-    Ok(())
-}
-
-/// Reads the committed generation. `Ok(None)` when no manifest exists
-/// (a brand-new store); [`SelearnError::ManifestCorrupt`] when one
-/// exists but cannot be trusted.
-pub fn read_manifest(vfs: &dyn Vfs, dir: &Path) -> Result<Option<u64>, SelearnError> {
-    let path = dir.join(MANIFEST);
-    if !vfs.exists(&path) {
-        return Ok(None);
-    }
-    let bad = |what: String| SelearnError::ManifestCorrupt { what };
-    let bytes = vfs.read(&path).map_err(|e| bad(format!("unreadable: {e}")))?;
-    let text = std::str::from_utf8(&bytes).map_err(|_| bad("not valid utf-8".to_string()))?;
-    let mut lines = text.lines();
-    let magic = lines.next().ok_or_else(|| bad("empty file".to_string()))?;
-    if magic != MANIFEST_MAGIC {
-        return Err(bad(format!("bad magic `{magic}`")));
-    }
-    let gen_line = lines
-        .next()
-        .ok_or_else(|| bad("missing generation line".to_string()))?;
-    let generation: u64 = gen_line
-        .strip_prefix("generation ")
-        .and_then(|g| g.parse().ok())
-        .ok_or_else(|| bad(format!("bad generation line `{gen_line}`")))?;
-    let crc_line = lines
-        .next()
-        .ok_or_else(|| bad("missing crc line".to_string()))?;
-    let stated = crc_line
-        .strip_prefix("crc ")
-        .and_then(|h| u32::from_str_radix(h, 16).ok())
-        .ok_or_else(|| bad(format!("bad crc line `{crc_line}`")))?;
-    let body_len = text.len() - crc_line.len() - 1;
-    let actual = crc32(&text.as_bytes()[..body_len]);
-    if stated != actual {
-        return Err(bad(format!(
-            "crc mismatch: stated {stated:08x}, computed {actual:08x}"
-        )));
-    }
-    Ok(Some(generation))
 }
 
 #[cfg(test)]
@@ -480,6 +428,24 @@ mod tests {
     }
 
     #[test]
+    fn lsn_without_a_successor_is_rejected() {
+        let dir = tmp_dir("maxlsn");
+        let model = trained_model();
+        let fp = config_fingerprint(model.root(), &QuadHistConfig::default(), 8, 64);
+        let mut snapshot = model.snapshot();
+        snapshot.total_observed = usize::MAX;
+        let data = CheckpointData {
+            generation: 1,
+            lsn: u64::MAX,
+            snapshot,
+        };
+        write_checkpoint(&StdVfs, &dir, &data, fp).expect("write");
+        let err = read_checkpoint(&StdVfs, &dir, 1, fp).unwrap_err();
+        assert!(matches!(err, SelearnError::CheckpointCorrupt { .. }), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn bit_flip_fails_the_crc() {
         let dir = tmp_dir("flip");
         let model = trained_model();
@@ -497,21 +463,6 @@ mod tests {
         std::fs::write(&path, bytes).expect("write");
         let err = read_checkpoint(&StdVfs, &dir, 1, fp).unwrap_err();
         assert!(matches!(err, SelearnError::CheckpointCorrupt { .. }), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_round_trip_and_corruption() {
-        let dir = tmp_dir("manifest");
-        assert!(read_manifest(&StdVfs, &dir).expect("none").is_none());
-        write_manifest(&StdVfs, &dir, 7).expect("write");
-        assert_eq!(read_manifest(&StdVfs, &dir).expect("read"), Some(7));
-        write_manifest(&StdVfs, &dir, 8).expect("rewrite");
-        assert_eq!(read_manifest(&StdVfs, &dir).expect("read"), Some(8));
-        std::fs::write(dir.join(MANIFEST), b"SELMANIFEST v1\ngeneration 8\ncrc 00000000\n")
-            .expect("write");
-        let err = read_manifest(&StdVfs, &dir).unwrap_err();
-        assert!(matches!(err, SelearnError::ManifestCorrupt { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -12,9 +12,9 @@
 //!   model; the returned LSN is the durability acknowledgement.
 //! * **Checkpoints** ([`checkpoint`]) — the model's exact state
 //!   (arena layout, bit-exact weights, feedback window) under
-//!   monotonically increasing generation numbers, committed by an
-//!   atomically renamed manifest; the last N generations are retained
-//!   for instant rollback.
+//!   monotonically increasing generation numbers, each committed by the
+//!   atomic rename of its own file; the last three generations are
+//!   retained for instant rollback.
 //! * **Recovery** ([`store`]) — on open, load the newest valid
 //!   checkpoint and replay only the WAL tail past its LSN, truncating a
 //!   torn tail at the first corrupt record. Recovery is *bitwise*: the
@@ -41,6 +41,6 @@ pub mod wal;
 
 pub use checkpoint::{config_fingerprint, CheckpointData};
 pub use record::FeedbackRecord;
-pub use store::{ModelStore, ObserveHook, RecoveryReport, StoreConfig};
+pub use store::{ModelStore, RecoveryReport, StoreConfig};
 pub use vfs::{FaultVfs, StdVfs, Vfs, VfsFile};
 pub use wal::{WalScan, WalWriter};

@@ -4,17 +4,18 @@
 //! *before* it touches the model (log-before-observe) and its LSN is the
 //! acknowledgement the caller may hand out; [`ModelStore::checkpoint`]
 //! freezes the model state under the next generation number and commits
-//! it via the manifest; [`ModelStore::open`] recovers by loading the
-//! newest valid checkpoint and replaying only the WAL tail past its
-//! recorded LSN, truncating a torn tail first; [`ModelStore::rollback`]
-//! rewinds to any retained generation, discarding the log after it.
+//! it by renaming the checkpoint file into place; [`ModelStore::open`]
+//! recovers by loading the newest valid checkpoint and replaying only the
+//! WAL tail past its recorded LSN, truncating a torn tail first;
+//! [`ModelStore::rollback`] rewinds to any retained generation,
+//! discarding the log after it.
 //!
 //! Recovery resolution order:
 //!
-//! 1. the manifest's generation, if its checkpoint reads back clean;
-//! 2. otherwise every on-disk checkpoint, newest first (`manifest_fallback`
-//!    in the [`RecoveryReport`]);
-//! 3. otherwise a fresh model — but only when the WAL reaches back to
+//! 1. every on-disk checkpoint, newest first: the first that reads back
+//!    and restores clean wins (each one passed over counts in
+//!    `skipped_checkpoints` of the [`RecoveryReport`]);
+//! 2. otherwise a fresh model — but only when the WAL reaches back to
 //!    LSN 1, because anything shorter cannot reproduce the lost state.
 
 use std::path::{Path, PathBuf};
@@ -25,13 +26,16 @@ use selearn_geom::Rect;
 use selearn_obs::{counter_add, gauge_set};
 
 use crate::checkpoint::{
-    checkpoint_name, config_fingerprint, list_checkpoints, read_checkpoint, read_manifest,
-    write_checkpoint, write_manifest, CheckpointData,
+    checkpoint_name, config_fingerprint, list_checkpoints, read_checkpoint, write_checkpoint,
+    CheckpointData,
 };
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{
     repair_torn_tail, scan_wal, truncate_after_lsn, WalWriter, SEGMENT_HEADER_LEN,
 };
+
+/// Checkpoint generations kept on disk for rollback.
+const RETAIN_GENERATIONS: usize = 3;
 
 /// Deployment configuration for a [`ModelStore`]. Everything here is
 /// *owned by the caller*, not the store directory — a checkpoint records
@@ -48,18 +52,11 @@ pub struct StoreConfig {
     pub history_cap: usize,
     /// WAL segment rotation threshold, in bytes.
     pub segment_bytes: u64,
-    /// How many checkpoint generations to retain for rollback.
-    pub retain_generations: usize,
-    /// Fsync the WAL on every append (durable acks) vs. on checkpoint
-    /// only (faster, may lose the unsynced tail on power failure —
-    /// never on process crash).
-    pub sync_on_append: bool,
 }
 
 impl StoreConfig {
     /// A config with production defaults over the given data space:
-    /// refit every 64 observations, 4096-record window, 1 MiB segments,
-    /// 3 retained generations, durable acks.
+    /// refit every 64 observations, 4096-record window, 1 MiB segments.
     pub fn new(root: Rect) -> Self {
         Self {
             root,
@@ -67,8 +64,6 @@ impl StoreConfig {
             refit_every: 64,
             history_cap: 4096,
             segment_bytes: 1 << 20,
-            retain_generations: 3,
-            sync_on_append: true,
         }
     }
 }
@@ -86,17 +81,10 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
     /// Why the tail was torn, when it was.
     pub torn_tail: Option<String>,
-    /// True when the manifest was missing/corrupt/stale and recovery
-    /// fell back to scanning checkpoint files directly.
-    pub manifest_fallback: bool,
+    /// Checkpoint files passed over because they failed to read back
+    /// (CRC, magic, structure, config fingerprint) or to restore.
+    pub skipped_checkpoints: u64,
 }
-
-/// Called after every durable append with the record's LSN and the
-/// feedback it covers — the WAL-ack point. The serving layer installs
-/// one to score acknowledged labels against the currently-served model
-/// (the accuracy-drift monitor); replay during recovery does *not* fire
-/// it, only live [`ModelStore::observe`] calls do.
-pub type ObserveHook = Box<dyn Fn(u64, &TrainingQuery) + Send>;
 
 /// A durable, crash-recoverable online model. See the module docs for
 /// the protocol.
@@ -111,7 +99,6 @@ pub struct ModelStore {
     last_checkpoint_lsn: u64,
     last_refit_error: Option<SelearnError>,
     recovery: RecoveryReport,
-    observe_hook: Option<ObserveHook>,
 }
 
 impl std::fmt::Debug for ModelStore {
@@ -144,12 +131,6 @@ impl ModelStore {
                 what: "refit_every must be >= 1",
             });
         }
-        if config.retain_generations == 0 {
-            return Err(SelearnError::InvalidConfig {
-                model: "selearn-store",
-                what: "retain_generations must be >= 1",
-            });
-        }
         vfs.create_dir_all(dir)?;
         let fingerprint = config_fingerprint(
             &config.root,
@@ -159,7 +140,16 @@ impl ModelStore {
         );
 
         let mut report = RecoveryReport::default();
-        let base = Self::resolve_checkpoint(vfs.as_ref(), dir, fingerprint, &mut report)?;
+        let mut base = None;
+        for generation in list_checkpoints(vfs.as_ref(), dir)?.into_iter().rev() {
+            match load_checkpoint(vfs.as_ref(), dir, &config, fingerprint, generation) {
+                Ok((lsn, model)) => {
+                    base = Some((generation, lsn, model));
+                    break;
+                }
+                Err(_) => report.skipped_checkpoints += 1,
+            }
+        }
 
         let mut scan = scan_wal(vfs.as_ref(), dir)?;
         if let Some(torn) = &scan.torn {
@@ -183,7 +173,7 @@ impl ModelStore {
             scan = scan_wal(vfs.as_ref(), dir)?;
         }
 
-        let checkpoint_lsn = base.as_ref().map_or(0, |c| c.lsn);
+        let checkpoint_lsn = base.as_ref().map_or(0, |&(_, lsn, _)| lsn);
         if let Some(first) = scan.first_lsn() {
             if first > checkpoint_lsn + 1 {
                 return Err(SelearnError::WalCorrupt {
@@ -197,14 +187,9 @@ impl ModelStore {
             }
         }
 
-        let mut model = match &base {
-            Some(ckpt) => OnlineQuadHist::restore(
-                config.root.clone(),
-                config.quadhist.clone(),
-                config.refit_every,
-                config.history_cap,
-                ckpt.snapshot.clone(),
-            )?,
+        report.generation = base.as_ref().map_or(0, |&(generation, _, _)| generation);
+        let mut model = match base {
+            Some((_, _, model)) => model,
             None => OnlineQuadHist::new(
                 config.root.clone(),
                 config.quadhist.clone(),
@@ -234,10 +219,9 @@ impl ModelStore {
             &scan,
             next_lsn,
             config.segment_bytes,
-            config.sync_on_append,
+            true,
         )?;
 
-        report.generation = base.as_ref().map_or(0, |c| c.generation);
         report.checkpoint_lsn = checkpoint_lsn;
         counter_add("store.recoveries", 1);
         counter_add("store.replayed_records", report.replayed_records);
@@ -245,9 +229,7 @@ impl ModelStore {
         if report.torn_tail.is_some() {
             counter_add("store.torn_tails", 1);
         }
-        if report.manifest_fallback {
-            counter_add("store.manifest_fallbacks", 1);
-        }
+        counter_add("store.skipped_checkpoints", report.skipped_checkpoints);
         gauge_set("store.generation", report.generation as f64);
 
         let mut store = Self {
@@ -261,54 +243,9 @@ impl ModelStore {
             last_checkpoint_lsn: checkpoint_lsn,
             last_refit_error,
             recovery: report,
-            observe_hook: None,
         };
         store.prune()?;
         Ok(store)
-    }
-
-    /// Finds the newest checkpoint that reads back clean, preferring the
-    /// manifest's word. `Ok(None)` = start fresh (only legal when the WAL
-    /// reaches back to LSN 1, which the caller checks).
-    fn resolve_checkpoint(
-        vfs: &dyn Vfs,
-        dir: &Path,
-        fingerprint: u32,
-        report: &mut RecoveryReport,
-    ) -> Result<Option<CheckpointData>, SelearnError> {
-        let manifest_gen = match read_manifest(vfs, dir) {
-            Ok(g) => g,
-            Err(_) => {
-                report.manifest_fallback = true;
-                None
-            }
-        };
-        if let Some(generation) = manifest_gen {
-            match read_checkpoint(vfs, dir, generation, fingerprint) {
-                Ok(data) => return Ok(Some(data)),
-                Err(_) => report.manifest_fallback = true,
-            }
-        }
-        // Manifest missing, corrupt, or pointing at a bad checkpoint:
-        // scan what's actually on disk, newest first.
-        let mut gens = list_checkpoints(vfs, dir)?;
-        gens.reverse();
-        let had_candidates = !gens.is_empty();
-        for generation in gens {
-            if Some(generation) == manifest_gen {
-                continue; // already failed above
-            }
-            if let Ok(data) = read_checkpoint(vfs, dir, generation, fingerprint) {
-                if manifest_gen.is_some() || had_candidates {
-                    report.manifest_fallback = true;
-                }
-                return Ok(Some(data));
-            }
-        }
-        if had_candidates {
-            report.manifest_fallback = true;
-        }
-        Ok(None)
     }
 
     /// Ingests one feedback record durably: validates, appends to the
@@ -327,9 +264,6 @@ impl ModelStore {
             });
         }
         let lsn = self.wal.append(&feedback)?;
-        if let Some(hook) = &self.observe_hook {
-            hook(lsn, &feedback);
-        }
         if let Err(e) = self.model.observe(feedback) {
             self.last_refit_error = Some(e);
         }
@@ -337,21 +271,15 @@ impl ModelStore {
         Ok(lsn)
     }
 
-    /// Installs the WAL-ack hook (see [`ObserveHook`]), replacing any
-    /// previous one.
-    pub fn set_observe_hook(&mut self, hook: ObserveHook) {
-        self.observe_hook = Some(hook);
-    }
-
     /// Freezes the current model state under the next generation number
     /// and commits it. On return the checkpoint is durable and current;
-    /// a crash at any interior point leaves the previous generation
-    /// committed. Returns the new generation.
+    /// a crash before its rename leaves the previous generation current.
+    /// Returns the new generation.
     pub fn checkpoint(&mut self) -> Result<u64, SelearnError> {
         self.wal.sync()?;
         let on_disk = list_checkpoints(self.vfs.as_ref(), &self.dir)?;
-        // Skip past orphans from a crashed checkpoint as well as the
-        // committed generation — numbers are never reused.
+        // Skip past newer files recovery passed over as well as the
+        // current generation — numbers are never reused.
         let generation = on_disk.last().copied().unwrap_or(0).max(self.generation) + 1;
         let lsn = self.wal.next_lsn() - 1;
         let data = CheckpointData {
@@ -360,7 +288,6 @@ impl ModelStore {
             snapshot: self.model.snapshot(),
         };
         write_checkpoint(self.vfs.as_ref(), &self.dir, &data, self.fingerprint)?;
-        write_manifest(self.vfs.as_ref(), &self.dir, generation)?;
         self.generation = generation;
         self.last_checkpoint_lsn = lsn;
         counter_add("store.checkpoints", 1);
@@ -374,8 +301,9 @@ impl ModelStore {
     /// LSN (feedback after it is *discarded* — rollback is the one
     /// operation that forgets acknowledged records, by design). The
     /// ordering is crash-safe: newer checkpoints go first, so no crash
-    /// point can leave a committed generation referring to LSNs the
-    /// rewound log will hand out again.
+    /// point can leave a checkpoint referring to LSNs the rewound log
+    /// will hand out again, and the log is then cut newest-first, so a
+    /// crash mid-rewind leaves a shorter but valid log.
     pub fn rollback(&mut self, generation: u64) -> Result<(), SelearnError> {
         let retained = self.generations()?;
         if !retained.contains(&generation) {
@@ -384,13 +312,12 @@ impl ModelStore {
                 retained,
             });
         }
-        let data = read_checkpoint(self.vfs.as_ref(), &self.dir, generation, self.fingerprint)?;
-        let model = OnlineQuadHist::restore(
-            self.config.root.clone(),
-            self.config.quadhist.clone(),
-            self.config.refit_every,
-            self.config.history_cap,
-            data.snapshot.clone(),
+        let (lsn, model) = load_checkpoint(
+            self.vfs.as_ref(),
+            &self.dir,
+            &self.config,
+            self.fingerprint,
+            generation,
         )?;
 
         for newer in self.generations()?.into_iter().filter(|&g| g > generation) {
@@ -398,21 +325,20 @@ impl ModelStore {
                 .remove_file(&self.dir.join(checkpoint_name(newer)))?;
         }
         self.vfs.sync_dir(&self.dir)?;
-        write_manifest(self.vfs.as_ref(), &self.dir, generation)?;
         let scan = scan_wal(self.vfs.as_ref(), &self.dir)?;
-        truncate_after_lsn(self.vfs.as_ref(), &self.dir, &scan, data.lsn)?;
+        truncate_after_lsn(self.vfs.as_ref(), &self.dir, &scan, lsn)?;
 
         self.model = model;
         self.generation = generation;
-        self.last_checkpoint_lsn = data.lsn;
+        self.last_checkpoint_lsn = lsn;
         let scan = scan_wal(self.vfs.as_ref(), &self.dir)?;
         self.wal = WalWriter::open(
             Arc::clone(&self.vfs),
             &self.dir,
             &scan,
-            scan.next_lsn.max(data.lsn + 1),
+            scan.next_lsn.max(lsn + 1),
             self.config.segment_bytes,
-            self.config.sync_on_append,
+            true,
         )?;
         counter_add("store.rollbacks", 1);
         gauge_set("store.generation", generation as f64);
@@ -423,8 +349,8 @@ impl ModelStore {
     /// no retained generation could ever need for replay.
     fn prune(&mut self) -> Result<(), SelearnError> {
         let gens = self.generations()?;
-        if gens.len() > self.config.retain_generations {
-            let cut = gens.len() - self.config.retain_generations;
+        if gens.len() > RETAIN_GENERATIONS {
+            let cut = gens.len() - RETAIN_GENERATIONS;
             for &g in &gens[..cut] {
                 self.vfs.remove_file(&self.dir.join(checkpoint_name(g)))?;
             }
@@ -457,11 +383,6 @@ impl ModelStore {
     /// serving snapshot).
     pub fn model(&self) -> &OnlineQuadHist {
         &self.model
-    }
-
-    /// The store's deployment configuration.
-    pub fn config(&self) -> &StoreConfig {
-        &self.config
     }
 
     /// The directory the store was opened on.
@@ -499,11 +420,26 @@ impl ModelStore {
     pub fn take_refit_error(&mut self) -> Option<SelearnError> {
         self.last_refit_error.take()
     }
+}
 
-    /// Durably flushes the WAL (meaningful with `sync_on_append=false`).
-    pub fn sync(&mut self) -> Result<(), SelearnError> {
-        self.wal.sync()
-    }
+/// Reads checkpoint `generation` and rebuilds its model. Returns the LSN
+/// the checkpoint covers and the restored model.
+fn load_checkpoint(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    config: &StoreConfig,
+    fingerprint: u32,
+    generation: u64,
+) -> Result<(u64, OnlineQuadHist), SelearnError> {
+    let data = read_checkpoint(vfs, dir, generation, fingerprint)?;
+    let model = OnlineQuadHist::restore(
+        config.root.clone(),
+        config.quadhist.clone(),
+        config.refit_every,
+        config.history_cap,
+        data.snapshot,
+    )?;
+    Ok((data.lsn, model))
 }
 
 #[cfg(test)]
@@ -689,8 +625,7 @@ mod tests {
             store.observe(feedback(i)).expect("observe");
         }
         drop(store);
-        // Lose the manifest+checkpoint world entirely, then also lose the
-        // first segment: the WAL no longer reaches back to LSN 1.
+        // No checkpoint was ever cut; now also lose the first segment: the WAL no longer reaches back to LSN 1.
         let scan = scan_wal(&StdVfs, &dir).expect("scan");
         assert!(scan.segments.len() >= 2, "need rotation for this test");
         std::fs::remove_file(dir.join(&scan.segments[0].name)).expect("rm");

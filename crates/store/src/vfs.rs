@@ -169,7 +169,7 @@ pub struct FaultVfs<V: Vfs> {
 impl<V: Vfs> FaultVfs<V> {
     /// Budget units charged per metadata mutation (create, rename,
     /// remove, truncate). Non-zero so kill points *between* file writes —
-    /// e.g. after a checkpoint body but before its manifest rename — are
+    /// e.g. after a checkpoint body is synced but before its rename — are
     /// reachable by budget choice.
     pub const METADATA_COST: i64 = 1;
 

@@ -16,21 +16,27 @@
 //! | zero-length last segment              | removed, clean recovery        |
 //! | zero-length middle segment            | `WalCorrupt`                   |
 //! | duplicate LSN (CRC-valid replay)      | `WalCorrupt`                   |
-//! | manifest → missing checkpoint         | fallback to surviving one      |
-//! | manifest garbage                      | fallback via checkpoint scan   |
-//! | every checkpoint + manifest destroyed | fresh replay iff WAL is whole  |
+//! | newest checkpoint deleted             | fallback to surviving one      |
+//! | every checkpoint destroyed            | fresh replay iff WAL is whole  |
+//! | CRC-valid checkpoint, hostile content | `CheckpointCorrupt`, fallback  |
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+use proptest::prelude::*;
 use selearn_core::{SelearnError, SelectivityEstimator, TrainingQuery};
 use selearn_geom::{Range, Rect};
-use selearn_store::checkpoint::checkpoint_name;
+use selearn_store::checkpoint::{checkpoint_name, config_fingerprint, read_checkpoint};
+use selearn_store::crc::crc32;
 use selearn_store::wal::scan_wal;
 use selearn_store::{ModelStore, StdVfs, StoreConfig};
 
 fn test_dir(tag: &str) -> PathBuf {
+    // Proptest cases share a tag, so every call gets its own directory.
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let d = std::env::temp_dir().join(format!(
-        "selearn-corrupt-{tag}-{}",
+        "selearn-corrupt-{tag}-{}-{seq}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&d);
@@ -126,7 +132,7 @@ fn bit_flip_in_newest_checkpoint_falls_back_a_generation() {
     assert_eq!(gens, vec![1, 2, 3]);
     flip_byte(&dir.join(checkpoint_name(3)), FlipAt::Middle, 0x01);
     let store = ModelStore::open(&dir, config()).expect("recover");
-    assert!(store.recovery().manifest_fallback);
+    assert_eq!(store.recovery().skipped_checkpoints, 1);
     assert_eq!(store.recovery().generation, 2);
     assert_eq!(store.last_lsn(), 24, "fallback lost acknowledged records");
     // Fallback replays a longer tail, landing on the same state.
@@ -211,27 +217,15 @@ fn duplicate_lsn_is_typed_corruption_even_with_valid_crc() {
 }
 
 #[test]
-fn manifest_pointing_at_missing_checkpoint_falls_back() {
-    let dir = test_dir("dangling-manifest");
-    let gens = seed(&dir, 16, 8); // generations 1, 2; manifest says 2
+fn newest_checkpoint_deleted_falls_back() {
+    let dir = test_dir("newest-deleted");
+    let gens = seed(&dir, 16, 8); // generations 1, 2
     assert_eq!(gens, vec![1, 2]);
     std::fs::remove_file(dir.join(checkpoint_name(2))).expect("rm checkpoint");
     let store = ModelStore::open(&dir, config()).expect("recover");
-    assert!(store.recovery().manifest_fallback);
+    assert_eq!(store.recovery().skipped_checkpoints, 0, "nothing left to skip");
     assert_eq!(store.recovery().generation, 1);
     assert_eq!(store.last_lsn(), 16, "fallback lost acknowledged records");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn garbage_manifest_falls_back_to_checkpoint_scan() {
-    let dir = test_dir("garbage-manifest");
-    seed(&dir, 16, 8);
-    std::fs::write(dir.join("MANIFEST"), b"\x00\xffnot a manifest").expect("scribble");
-    let store = ModelStore::open(&dir, config()).expect("recover");
-    assert!(store.recovery().manifest_fallback);
-    assert_eq!(store.recovery().generation, 2);
-    assert_eq!(store.last_lsn(), 16);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -239,7 +233,6 @@ fn garbage_manifest_falls_back_to_checkpoint_scan() {
 fn total_checkpoint_loss_replays_from_scratch_only_if_wal_is_whole() {
     let dir = test_dir("total-loss");
     seed(&dir, 12, 6);
-    std::fs::remove_file(dir.join("MANIFEST")).expect("rm manifest");
     for g in [1u64, 2] {
         std::fs::remove_file(dir.join(checkpoint_name(g))).expect("rm checkpoint");
     }
@@ -267,8 +260,151 @@ fn config_change_under_existing_checkpoint_is_typed() {
     let mut drifted = config();
     drifted.refit_every = 7;
     let store = ModelStore::open(&dir, drifted).expect("recover");
-    assert!(store.recovery().manifest_fallback);
+    assert_eq!(store.recovery().skipped_checkpoints, 2);
     assert_eq!(store.recovery().generation, 0, "foreign checkpoint was accepted");
     assert_eq!(store.last_lsn(), 8);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One edit to a checkpoint body, applied before its CRC is recomputed.
+#[derive(Clone, Debug)]
+enum Mutation {
+    /// Sets the value of the `key …` line to a hostile count.
+    Count { key: &'static str, value: CountValue },
+    /// Removes the `n`-th space-separated token of the body.
+    DropToken(usize),
+    /// Repeats the `n`-th space-separated token of the body.
+    DuplicateToken(usize),
+    /// Flips one bit of the body.
+    FlipBit { byte: usize, bit: u32 },
+}
+
+#[derive(Clone, Copy, Debug)]
+enum CountValue {
+    Zero,
+    MinusOne,
+    PlusOne,
+    TwoPow32,
+    Max,
+}
+
+const COUNT_KEYS: [&str; 5] = ["lsn", "nodes", "history", "total", "since_refit"];
+const COUNT_VALUES: [CountValue; 5] = [
+    CountValue::Zero,
+    CountValue::MinusOne,
+    CountValue::PlusOne,
+    CountValue::TwoPow32,
+    CountValue::Max,
+];
+
+/// Count edits get two draws in five, each of the other kinds one.
+fn mutation() -> impl Strategy<Value = Mutation> {
+    (0u32..5, 0usize..5, 0usize..5, 0usize..1 << 20, 0u32..8).prop_map(
+        |(kind, key, value, n, bit)| match kind {
+            0 | 1 => Mutation::Count {
+                key: COUNT_KEYS[key],
+                value: COUNT_VALUES[value],
+            },
+            2 => Mutation::DropToken(n),
+            3 => Mutation::DuplicateToken(n),
+            _ => Mutation::FlipBit { byte: n, bit },
+        },
+    )
+}
+
+/// Applies `m` to the body of a checkpoint file (everything before its
+/// `crc` trailer) and returns the file with a freshly computed trailer.
+fn mutate_checkpoint(file: &[u8], m: &Mutation) -> Vec<u8> {
+    let text = std::str::from_utf8(file).expect("checkpoints are utf-8");
+    let body_end = text.trim_end_matches('\n').rfind('\n').expect("trailer") + 1;
+    let body = &text[..body_end];
+    let mut out: Vec<u8> = match m {
+        Mutation::Count { key, value } => body
+            .lines()
+            .map(|line| match line.strip_prefix(key).and_then(|r| r.strip_prefix(' ')) {
+                Some(v) => {
+                    let v: u64 = v.parse().expect("count");
+                    let hostile = match value {
+                        CountValue::Zero => 0,
+                        CountValue::MinusOne => v.wrapping_sub(1),
+                        CountValue::PlusOne => v.wrapping_add(1),
+                        CountValue::TwoPow32 => 1 << 32,
+                        CountValue::Max => u64::MAX,
+                    };
+                    format!("{key} {hostile}\n")
+                }
+                None => format!("{line}\n"),
+            })
+            .collect::<String>()
+            .into_bytes(),
+        Mutation::DropToken(n) | Mutation::DuplicateToken(n) => {
+            let mut lines: Vec<Vec<String>> = body
+                .lines()
+                .map(|l| l.split(' ').map(str::to_string).collect())
+                .collect();
+            let total: usize = lines.iter().map(Vec::len).sum();
+            let mut k = n % total;
+            for line in &mut lines {
+                if k < line.len() {
+                    if matches!(m, Mutation::DropToken(_)) {
+                        line.remove(k);
+                    } else {
+                        let tok = line[k].clone();
+                        line.insert(k, tok);
+                    }
+                    break;
+                }
+                k -= line.len();
+            }
+            lines
+                .iter()
+                .map(|l| format!("{}\n", l.join(" ")))
+                .collect::<String>()
+                .into_bytes()
+        }
+        Mutation::FlipBit { byte, bit } => {
+            let mut b = body.as_bytes().to_vec();
+            let at = byte % b.len();
+            b[at] ^= 1 << bit;
+            b
+        }
+    };
+    let trailer = format!("crc {:08x}\n", crc32(&out));
+    out.extend_from_slice(trailer.as_bytes());
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A checkpoint whose CRC is valid but whose content is hostile — a
+    /// count that disagrees with the data, a missing or repeated token, a
+    /// flipped bit — is rejected as `CheckpointCorrupt` or read as some
+    /// well-formed state; recovery with it as the newest generation never
+    /// panics and never loses an acknowledged record.
+    #[test]
+    fn crc_valid_hostile_checkpoint_never_panics(m in mutation()) {
+        let dir = test_dir("hostile");
+        prop_assert_eq!(seed(&dir, 20, 8), vec![1, 2]);
+        let path = dir.join(checkpoint_name(2));
+        let mutated = mutate_checkpoint(&std::fs::read(&path).expect("read"), &m);
+        std::fs::write(&path, mutated).expect("write");
+
+        let c = config();
+        let fp = config_fingerprint(&c.root, &c.quadhist, c.refit_every, c.history_cap);
+        let read = read_checkpoint(&StdVfs, &dir, 2, fp);
+        prop_assert!(
+            matches!(read, Ok(_) | Err(SelearnError::CheckpointCorrupt { .. })),
+            "{:?}: untyped read error {:?}", m, read.err()
+        );
+        let store = match ModelStore::open(&dir, config()) {
+            Ok(s) => s,
+            Err(e) => return Err(TestCaseError::fail(format!("{m:?}: recovery failed: {e}"))),
+        };
+        prop_assert_eq!(store.last_lsn(), 20);
+        let generation = store.recovery().generation;
+        prop_assert!(generation == 1 || generation == 2, "{:?}: generation {}", m, generation);
+        prop_assert_eq!(store.recovery().skipped_checkpoints, 2 - generation);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -13,11 +13,13 @@
 //!    from scratch — checkpoint + tail replay adds nothing and loses
 //!    nothing;
 //! 4. rollback to any retained generation restores that generation's
-//!    exact estimates.
+//!    exact estimates, and a crash inside a rollback leaves a store that
+//!    recovers to a prefix between the target and the old end.
 //!
-//! One test enumerates every byte of a fixed workload exhaustively; the
-//! proptest cases layer arbitrary streams × arbitrary kill points and
-//! double-crash scenarios on top.
+//! One test enumerates every byte of a fixed workload exhaustively and
+//! one every kill point of a rollback; the proptest cases layer
+//! arbitrary streams × arbitrary kill points and double-crash scenarios
+//! on top.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -29,7 +31,7 @@ use selearn_geom::{Range, Rect};
 use selearn_store::{FaultVfs, ModelStore, StdVfs, StoreConfig};
 
 fn test_dir(tag: &str) -> PathBuf {
-    // The sweep opens thousands of stores with sync_on_append=true;
+    // The sweep opens thousands of stores, each fsyncing every append;
     // prefer a tmpfs so each simulated fsync doesn't hit a real disk.
     let shm = PathBuf::from("/dev/shm");
     let root = if shm.is_dir() { shm } else { std::env::temp_dir() };
@@ -47,7 +49,6 @@ fn config() -> StoreConfig {
     c.refit_every = 5;
     c.history_cap = 64;
     c.segment_bytes = 256; // rotate aggressively: more crash surfaces
-    c.retain_generations = 3;
     // Bound the partition: keeps checkpoints small, which keeps the
     // exhaustive byte-by-byte kill sweep's domain (and runtime) small
     // without removing any code path.
@@ -268,6 +269,72 @@ fn rollback_restores_retained_generations_bitwise() {
     assert!(!retained.contains(&gone));
     assert!(store.rollback(gone).is_err());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every kill point inside `open` + `rollback(oldest retained)`: a
+/// rollback commits in two steps (delete the newer checkpoints, then cut
+/// the WAL newest-first), and a crash anywhere in between must leave a
+/// store that recovers bitwise to some prefix from the rollback target
+/// up to the old end of the log.
+#[test]
+fn every_kill_point_inside_rollback_recovers_bitwise() {
+    let stream = fixed_stream(45);
+    let base = test_dir("rollback-base");
+    let mut store = ModelStore::open(&base, config()).expect("open");
+    for (i, q) in stream.iter().enumerate() {
+        store.observe(q.clone()).expect("observe");
+        if (i + 1) % 10 == 0 {
+            store.checkpoint().expect("checkpoint");
+        }
+    }
+    let target = store.generations().expect("generations")[0];
+    drop(store);
+    let copy_base = |to: &std::path::Path| {
+        let _ = std::fs::remove_dir_all(to);
+        std::fs::create_dir_all(to).expect("mkdir");
+        for entry in std::fs::read_dir(&base).expect("read base") {
+            let entry = entry.expect("entry");
+            std::fs::copy(entry.path(), to.join(entry.file_name())).expect("copy");
+        }
+    };
+    let roll_back = |dir: &std::path::Path, budget: i64| -> Arc<FaultVfs<StdVfs>> {
+        let vfs = Arc::new(FaultVfs::new(StdVfs, budget));
+        if let Ok(mut store) = ModelStore::open_with_vfs(Arc::clone(&vfs) as _, dir, config()) {
+            let _ = store.rollback(target);
+        }
+        vfs
+    };
+
+    let dir = test_dir("rollback-kill");
+    const HUGE: i64 = i64::MAX / 2;
+    copy_base(&dir);
+    let probe = roll_back(&dir, HUGE);
+    assert!(!probe.tripped());
+    let total = HUGE - probe.remaining();
+    let target_lsn = ModelStore::open(&dir, config()).expect("probe reopen").last_lsn();
+    assert_eq!(target_lsn, 20, "generation {target} covers lsn 20");
+
+    let oracles: Vec<Vec<u64>> = (0..=stream.len())
+        .map(|n| oracle_estimates(&stream, n))
+        .collect();
+    for budget in 0..=total {
+        copy_base(&dir);
+        roll_back(&dir, budget);
+        let store = ModelStore::open(&dir, config())
+            .unwrap_or_else(|e| panic!("recovery failed at rollback kill point {budget}: {e}"));
+        let last = store.last_lsn();
+        assert!(
+            (target_lsn..=stream.len() as u64).contains(&last),
+            "rollback kill point {budget}: recovered lsn {last}"
+        );
+        assert_eq!(
+            estimates(store.model()),
+            oracles[last as usize],
+            "rollback kill point {budget}: recovered model diverges from prefix replay at lsn {last}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 proptest! {
