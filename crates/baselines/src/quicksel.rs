@@ -19,7 +19,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selearn_core::{
-    assemble_design_matrix, check_labels, estimate_weights_with_report, Objective, SelearnError,
+    assemble_design_matrix, check_labels, estimate_weights, Objective, SelearnError,
     SelectivityEstimator, TrainingQuery, WeightSolver,
 };
 use selearn_geom::{Range, RangeQuery, Rect, VolumeEstimator, EPS};
@@ -98,7 +98,7 @@ impl QuickSel {
         let (weights, solve_report) = if a.rows() == 0 {
             (vec![1.0 / kernels.len() as f64; kernels.len()], None)
         } else {
-            estimate_weights_with_report(&a, &s, &Objective::L2, &WeightSolver::Fista)?
+            estimate_weights(&a, &s, &Objective::L2, &WeightSolver::Fista)?
         };
 
         Ok(Self {

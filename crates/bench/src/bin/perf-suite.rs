@@ -38,8 +38,9 @@ use selearn_core::{
     load_frozen, load_quadhist, save_quadhist, QuadHist, SelectivityEstimator, TrainingQuery,
 };
 use selearn_geom::{Range, Rect, VolumeEstimator};
+use selearn_obs::json;
 use selearn_serve::{
-    json, run_load, start, synth, LoadOptions, ModelRegistry, ServerConfig, DEFAULT_MODEL,
+    run_load, start, synth, LoadOptions, ModelRegistry, ServerConfig, DEFAULT_MODEL,
 };
 use selearn_store::{ModelStore, StoreConfig};
 use std::collections::VecDeque;

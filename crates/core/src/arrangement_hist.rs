@@ -129,7 +129,7 @@ impl ArrangementHist {
         let weights = if a.rows() == 0 {
             vec![1.0 / cells.len() as f64; cells.len()]
         } else {
-            estimate_weights(&a, &s, &config.objective, &config.solver)?
+            estimate_weights(&a, &s, &config.objective, &config.solver)?.0
         };
 
         Ok(Self {

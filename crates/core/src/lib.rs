@@ -59,4 +59,4 @@ pub use quantize::{
     quantize_ball_key, quantize_ball_key_into, quantize_halfspace_key,
     quantize_halfspace_key_into, quantize_rect_key, quantize_rect_key_into,
 };
-pub use weights::{estimate_weights, estimate_weights_with_report, Objective, WeightSolver};
+pub use weights::{estimate_weights, Objective, WeightSolver};

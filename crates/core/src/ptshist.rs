@@ -20,7 +20,7 @@ use crate::assemble::assemble_design_matrix;
 use crate::error::SelearnError;
 use crate::estimator::{SelectivityEstimator, TrainingQuery};
 use crate::frozen::{FrozenEstimator, FrozenPts};
-use crate::weights::{estimate_weights_with_report, Objective, WeightSolver};
+use crate::weights::{estimate_weights, Objective, WeightSolver};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selearn_geom::{sample_in_rect, Point, Range, RangeQuery, Rect, RejectionSampler};
@@ -182,7 +182,7 @@ impl PtsHist {
         let (weights, solve_report) = if a.rows() == 0 {
             (vec![1.0 / points.len() as f64; points.len()], None)
         } else {
-            estimate_weights_with_report(&a, &s, &config.objective, &config.solver)?
+            estimate_weights(&a, &s, &config.objective, &config.solver)?
         };
 
         Ok(Self::new(root, points, weights, solve_report))

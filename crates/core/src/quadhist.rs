@@ -17,7 +17,7 @@ use crate::error::SelearnError;
 use crate::estimator::{SelectivityEstimator, TrainingQuery};
 use crate::frozen::{FrozenEstimator, FrozenQuad};
 use crate::quadtree::{NodeId, QuadTree, ROOT};
-use crate::weights::{estimate_weights_with_report, Objective, WeightSolver};
+use crate::weights::{estimate_weights, Objective, WeightSolver};
 use selearn_geom::{Range, RangeQuery, Rect, VolumeEstimator, EPS};
 use selearn_solver::SolveReport;
 use std::collections::HashMap;
@@ -438,7 +438,7 @@ pub(crate) fn solve_leaf_weights(
     });
     let s: Vec<f64> = queries.iter().map(|q| q.selectivity).collect();
     let (w, solve_report) =
-        estimate_weights_with_report(&a, &s, &config.objective, &config.solver)?;
+        estimate_weights(&a, &s, &config.objective, &config.solver)?;
     let mut node_weight = vec![0.0; tree.num_nodes()];
     for (&leaf, w) in leaves.iter().zip(w) {
         node_weight[leaf] = w;

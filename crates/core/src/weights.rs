@@ -17,8 +17,8 @@
 //! columns, densify it.
 
 use selearn_solver::{
-    fista_simplex_ls, linf_fit_exact, linf_fit_smoothed_with_report, nnls_simplex_with_report,
-    CsrMatrix, FistaOptions, LinfOptions, NnlsOptions, SolveReport, SolverError,
+    fista_simplex_ls, linf_fit_exact, linf_fit_smoothed, nnls_simplex, CsrMatrix, FistaOptions,
+    LinfOptions, NnlsOptions, SolveReport, SolverError,
 };
 
 use crate::error::SelearnError;
@@ -50,26 +50,18 @@ pub enum Objective {
 /// Solves the weight-estimation program over the design matrix `a`
 /// (rows = training queries, columns = buckets) and targets `s`.
 ///
-/// Returns weights on the probability simplex. An empty bucket set or a
-/// non-finite entry is a typed [`SelearnError`]; an empty query set
-/// returns the uniform distribution (no information).
-pub fn estimate_weights(
-    a: &CsrMatrix,
-    s: &[f64],
-    objective: &Objective,
-    solver: &WeightSolver,
-) -> Result<Vec<f64>, SelearnError> {
-    Ok(estimate_weights_with_report(a, s, objective, solver)?.0)
-}
-
-/// [`estimate_weights`] plus the underlying solver's [`SolveReport`].
+/// Returns weights on the probability simplex with the underlying
+/// solver's [`SolveReport`]. An empty bucket set or a non-finite entry is
+/// a typed [`SelearnError`]; an empty query set returns the uniform
+/// distribution (no information).
 ///
-/// `None` when no iterative solver ran: an empty query set (uniform
-/// fallback) or an exact-LP `L∞` fit. A report with `converged == false`
-/// means the solver exhausted its iteration budget and returned the last
-/// iterate — surfaced here with a debug log (not a panic: the iterate is
-/// still feasible and usually near-optimal; see `solver::report`).
-pub fn estimate_weights_with_report(
+/// The report is `None` when no iterative solver ran: an empty query set
+/// (uniform fallback) or an exact-LP `L∞` fit. A report with
+/// `converged == false` means the solver exhausted its iteration budget
+/// and returned the last iterate — surfaced here with a debug log (not a
+/// panic: the iterate is still feasible and usually near-optimal; see
+/// `solver::report`).
+pub fn estimate_weights(
     a: &CsrMatrix,
     s: &[f64],
     objective: &Objective,
@@ -93,8 +85,7 @@ pub fn estimate_weights_with_report(
                 (r.weights, Some(report))
             }
             WeightSolver::NnlsPenalty => {
-                let (w, report) =
-                    nnls_simplex_with_report(&a.to_dense(), s, &NnlsOptions::default())?;
+                let (w, report) = nnls_simplex(&a.to_dense(), s, &NnlsOptions::default())?;
                 (w, Some(report))
             }
         },
@@ -106,16 +97,14 @@ pub fn estimate_weights_with_report(
                 // is recoverable: fall back to the smoothed solver. Real
                 // input errors propagate.
                 Err(SolverError::LpNotOptimal { .. }) => {
-                    let (w, report) =
-                        linf_fit_smoothed_with_report(&dense, s, &LinfOptions::default())?;
+                    let (w, report) = linf_fit_smoothed(&dense, s, &LinfOptions::default())?;
                     (w, Some(report))
                 }
                 Err(e) => return Err(e.into()),
             }
         }
         Objective::LInfSmoothed => {
-            let (w, report) =
-                linf_fit_smoothed_with_report(&a.to_dense(), s, &LinfOptions::default())?;
+            let (w, report) = linf_fit_smoothed(&a.to_dense(), s, &LinfOptions::default())?;
             (w, Some(report))
         }
     };
@@ -156,8 +145,12 @@ mod tests {
     #[test]
     fn l2_solvers_agree() {
         let (a, s) = design();
-        let w1 = estimate_weights(&a, &s, &Objective::L2, &WeightSolver::Fista).unwrap();
-        let w2 = estimate_weights(&a, &s, &Objective::L2, &WeightSolver::NnlsPenalty).unwrap();
+        let w1 = estimate_weights(&a, &s, &Objective::L2, &WeightSolver::Fista)
+            .unwrap()
+            .0;
+        let w2 = estimate_weights(&a, &s, &Objective::L2, &WeightSolver::NnlsPenalty)
+            .unwrap()
+            .0;
         assert!((a.residual_sq(&w1, &s) - a.residual_sq(&w2, &s)).abs() < 1e-5);
     }
 
@@ -165,7 +158,9 @@ mod tests {
     fn linf_variants_feasible() {
         let (a, s) = design();
         for obj in [Objective::LInfExact, Objective::LInfSmoothed] {
-            let w = estimate_weights(&a, &s, &obj, &WeightSolver::Fista).unwrap();
+            let w = estimate_weights(&a, &s, &obj, &WeightSolver::Fista)
+                .unwrap()
+                .0;
             assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-6);
             assert!(w.iter().all(|&v| v >= -1e-9));
         }
@@ -174,7 +169,9 @@ mod tests {
     #[test]
     fn no_queries_gives_uniform() {
         let a = CsrMatrix::with_cols(4);
-        let w = estimate_weights(&a, &[], &Objective::L2, &WeightSolver::Fista).unwrap();
+        let w = estimate_weights(&a, &[], &Objective::L2, &WeightSolver::Fista)
+            .unwrap()
+            .0;
         for &v in &w {
             assert!((v - 0.25).abs() < 1e-12);
         }

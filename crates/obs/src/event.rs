@@ -287,7 +287,7 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate_json_object;
+    use crate::json::{parse, Json};
 
     #[test]
     fn every_kind_serialises_to_valid_json() {
@@ -352,7 +352,7 @@ mod tests {
         let mut kinds = std::collections::BTreeSet::new();
         for e in &events {
             let js = e.to_json();
-            assert!(validate_json_object(&js), "invalid JSON: {js}");
+            assert!(matches!(parse(&js), Ok(Json::Obj(_))), "invalid JSON: {js}");
             kinds.insert(e.kind());
         }
         assert_eq!(kinds.len(), 9, "nine distinct event kinds");

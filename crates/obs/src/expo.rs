@@ -1,6 +1,7 @@
 //! Prometheus text exposition (version 0.0.4) for the metric registries.
 //!
-//! [`render`] walks the counter, gauge and histogram registries and
+//! [`render`] walks the counter, gauge and histogram registries, plus the
+//! counters its caller keeps itself (the server's own serving stats), and
 //! produces the `text/plain` body served by the admin plane's `/metrics`
 //! endpoint. The registries keep their internal dotted names
 //! (`serve.latency_us`); exposition rewrites them to the Prometheus
@@ -119,12 +120,22 @@ fn type_header(out: &mut String, last: &mut String, family: &str, kind: &str) {
 /// Renders the full exposition body: every counter (as `counter`), every
 /// gauge (as `gauge`), every histogram (as `histogram` with cumulative
 /// `le` buckets, `_sum` and `_count`), plus `process_uptime_seconds`.
-/// Deterministic: registries snapshot in sorted-name order.
-pub fn render() -> String {
+/// `counters` are `(registry-style name, value)` pairs the caller keeps
+/// outside the registry; they render in the same name-sorted counter pass,
+/// whether or not stats are enabled. Deterministic: every pass is in
+/// sorted-name order.
+pub fn render(counters: &[(&str, u64)]) -> String {
     let mut out = String::with_capacity(4096);
     let mut last_family = String::new();
 
-    for (name, value) in counter_snapshot() {
+    let mut all = counter_snapshot();
+    all.extend(
+        counters
+            .iter()
+            .map(|&(name, value)| (name.to_string(), value)),
+    );
+    all.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    for (name, value) in all {
         let (family, labels) = sanitize(&name);
         type_header(&mut out, &mut last_family, &family, "counter");
         out.push_str(&family);
@@ -231,7 +242,7 @@ mod tests {
         gauge_set("serve.qerror_p95{model=\"canary\"}", 2.25);
         histogram_record("serve.latency_us", 100.0);
         histogram_record("serve.latency_us", 200.0);
-        let body = render();
+        let body = render(&[]);
         enable_stats(false);
         reset();
 
@@ -281,10 +292,40 @@ mod tests {
         enable_stats(true);
         gauge_set("weird.inf", f64::INFINITY);
         gauge_set("weird.nan", f64::NAN);
-        let body = render();
+        let body = render(&[]);
         enable_stats(false);
         reset();
         assert!(body.contains("weird_inf +Inf\n"));
         assert!(body.contains("weird_nan NaN\n"));
+    }
+
+    #[test]
+    fn caller_counters_merge_into_the_sorted_counter_pass() {
+        let _g = TEST_LOCK.lock().unwrap();
+        reset();
+        enable_stats(true);
+        counter_add("serve.b", 2);
+        counter_add("serve.tenant{t=\"x\"}", 5);
+        enable_stats(false);
+        // Caller counters render with stats off; the registry's stay.
+        let body = render(&[("serve.c", 3), ("serve.a", 1)]);
+        reset();
+        let counters: Vec<&str> = body
+            .lines()
+            .take_while(|l| !l.starts_with("# TYPE process_uptime_seconds"))
+            .collect();
+        assert_eq!(
+            counters,
+            [
+                "# TYPE serve_a counter",
+                "serve_a 1",
+                "# TYPE serve_b counter",
+                "serve_b 2",
+                "# TYPE serve_c counter",
+                "serve_c 3",
+                "# TYPE serve_tenant counter",
+                "serve_tenant{t=\"x\"} 5",
+            ]
+        );
     }
 }

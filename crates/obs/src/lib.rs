@@ -21,7 +21,7 @@
 //!
 //! Everything is **off by default**: with no sink installed and stats
 //! disabled, every instrumentation call is a single relaxed atomic load
-//! and a predictable branch — the "NullSink" configuration budgeted at
+//! and a predictable branch — the no-sink configuration budgeted at
 //! < 5 % end-to-end overhead in DESIGN.md (in practice unmeasurable).
 //! Aggregation (counters/spans/histograms) is enabled by
 //! [`enable_stats`]; event emission is enabled by installing a sink with
@@ -58,7 +58,7 @@ pub use log::{set_level, Level};
 pub use metrics::{
     counter_add, counter_get, gauge_set, histogram_record, HistogramExport, HistogramSummary,
 };
-pub use sink::{JsonlSink, MemorySink, NullSink, ObsSink};
+pub use sink::{JsonlSink, MemorySink, ObsSink};
 pub use span::{span, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -18,16 +18,6 @@ pub trait ObsSink: Send + Sync {
     fn flush(&self) {}
 }
 
-/// Discards every event. The default configuration is *no sink at all*
-/// (one branch on a static); `NullSink` exists for explicitly measuring
-/// the cost of the emission path itself.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl ObsSink for NullSink {
-    fn record(&self, _event: &Event) {}
-}
-
 /// Buffers events in memory for test assertions.
 #[derive(Debug, Default)]
 pub struct MemorySink {

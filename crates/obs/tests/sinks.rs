@@ -105,7 +105,7 @@ fn solver_iteration_helper_emits_event_and_residual_histogram() {
 
 #[test]
 fn jsonl_sink_golden_file_parses_line_by_line() {
-    use selearn_obs::json::validate_json_object;
+    use selearn_obs::json::{parse, Json};
     use selearn_obs::JsonlSink;
 
     let path = std::env::temp_dir().join("selearn_obs_golden_trace.jsonl");
@@ -148,14 +148,10 @@ fn jsonl_sink_golden_file_parses_line_by_line() {
     assert!(lines.len() >= 8, "expected ≥8 events, got {}", lines.len());
     let mut kinds = std::collections::BTreeSet::new();
     for line in &lines {
-        assert!(validate_json_object(line), "invalid JSONL line: {line}");
-        let kind = line
-            .split("\"kind\":\"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next())
-            .unwrap_or_default()
-            .to_string();
-        kinds.insert(kind);
+        let event = parse(line).unwrap_or_else(|e| panic!("invalid JSONL line {line}: {e}"));
+        assert!(matches!(event, Json::Obj(_)), "not an object: {line}");
+        let kind = event.get("kind").and_then(Json::as_str).unwrap_or_default();
+        kinds.insert(kind.to_string());
     }
     for expected in [
         "span",

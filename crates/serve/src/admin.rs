@@ -14,6 +14,9 @@
 //! | `/readyz`  | JSON readiness detail                          | 200/503 |
 //! | `/stats`   | JSON serving-stats snapshot                    | 200    |
 //!
+//! `/metrics` renders this server's own serving counts (the numbers
+//! `/stats` reports) beside the process-wide obs registries.
+//!
 //! `/readyz` answers 503 when any of these holds: the registry has no
 //! model, the data-port queue is at capacity (admission control is
 //! shedding), the store directory stopped being writable (when one is
@@ -29,7 +32,7 @@
 //! [`HEAD_CAP`], or outlives [`HEAD_TIMEOUT`]. It costs no thread and
 //! never touches the data-port queue, workers, or cache; the price is
 //! that a `/metrics` scrape holds data-port reads for one
-//! `expo::render()` (DESIGN.md "Telemetry plane" records its cost).
+//! `expo::render` (DESIGN.md "Telemetry plane" records its cost).
 
 use crate::cache::EstimateCache;
 use crate::feedback::FeedbackSink;
@@ -126,7 +129,7 @@ impl AdminView<'_> {
             "/metrics" => (
                 200,
                 "text/plain; version=0.0.4; charset=utf-8",
-                selearn_obs::expo::render(),
+                selearn_obs::expo::render(&self.counters()),
             ),
             "/healthz" => (200, "text/plain; charset=utf-8", "ok\n".to_string()),
             "/readyz" => self.readyz(),
@@ -137,6 +140,28 @@ impl AdminView<'_> {
                 "not found; endpoints: /metrics /healthz /readyz /stats\n".to_string(),
             ),
         }
+    }
+
+    /// This server's serving counts under their exposition family names.
+    /// They are the same numbers `/stats` reads, and they count whether or
+    /// not obs stats are enabled.
+    fn counters(&self) -> [(&'static str, u64); 13] {
+        let s = self.stats;
+        [
+            ("serve.requests_total", s.requests()),
+            ("serve.requests_shed", s.shed()),
+            ("serve.requests_deadline", s.deadline_expired()),
+            ("serve.requests_quota", s.quota_shed()),
+            ("serve.request_errors", s.errors()),
+            ("serve.connections", s.connections()),
+            ("serve.slow_client_drops", s.slow_client_drops()),
+            ("serve.feedback_acks", s.feedback_acks()),
+            ("serve.requests_rect", s.rect_requests()),
+            ("serve.requests_halfspace", s.halfspace_requests()),
+            ("serve.requests_ball", s.ball_requests()),
+            ("serve.cache_hits", self.cache.hits()),
+            ("serve.cache_misses", self.cache.misses()),
+        ]
     }
 
     fn readyz(&self) -> (u16, &'static str, String) {
@@ -172,14 +197,13 @@ impl AdminView<'_> {
         let s = self.stats;
         let (depth, capacity) = self.queue;
         let mut body = format!(
-            "{{\"requests\":{},\"model\":{},\"cached\":{},\"degraded\":{},\"shed\":{},\"deadline\":{},\"swap\":{},\"errors\":{},\"connections\":{},\"feedback\":{},\"cache_hits\":{},\"cache_misses\":{},\"queue\":{{\"depth\":{depth},\"capacity\":{capacity}}},\"uptime_secs\":{:.3},\"models\":[",
+            "{{\"requests\":{},\"model\":{},\"cached\":{},\"degraded\":{},\"shed\":{},\"deadline\":{},\"errors\":{},\"connections\":{},\"feedback\":{},\"cache_hits\":{},\"cache_misses\":{},\"queue\":{{\"depth\":{depth},\"capacity\":{capacity}}},\"uptime_secs\":{:.3},\"models\":[",
             s.requests(),
             s.model_answers(),
             s.cache_answers(),
             s.degraded(),
             s.shed(),
             s.deadline_expired(),
-            s.swap_degraded(),
             s.errors(),
             s.connections(),
             s.feedback_acks(),
@@ -334,7 +358,8 @@ mod tests {
         assert!(body.contains("\"requests\":0"), "{body}");
         assert!(body.contains("\"queue\":{\"depth\":2,\"capacity\":8}"), "{body}");
         assert!(body.contains("\"models\":[\"default\"]"), "{body}");
-        crate::json::parse(&body).expect("stats body must parse as JSON");
+        let parsed = selearn_obs::json::parse(&body).expect("stats body must parse as JSON");
+        assert!(parsed.get("swap").is_none(), "{body}");
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 mod common;
 
-use selearn_serve::{run_load, LoadOptions, Request};
+use selearn_serve::{parse_line, run_load, LoadOptions, Request, RequestLine};
 
 const USAGE: &str = "usage: selearn-load --addr HOST:PORT \
 (--workload FILE | --synthetic DIM) [--requests N] [--conns N] \
@@ -98,8 +98,10 @@ fn load_workload(path: &str) -> Result<Vec<Request>, String> {
         .map(str::trim)
         .filter(|l| !l.is_empty())
         .enumerate()
-        .map(|(i, line)| {
-            selearn_serve::parse_request(line).map_err(|e| format!("line {}: {e}", i + 1))
+        .map(|(i, line)| match parse_line(line) {
+            Ok(RequestLine::Estimate(req)) => Ok(req),
+            Ok(RequestLine::Feedback(_)) => Err(format!("line {}: a feedback line", i + 1)),
+            Err(e) => Err(format!("line {}: {e}", i + 1)),
         })
         .collect()
 }

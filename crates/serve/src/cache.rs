@@ -209,8 +209,8 @@ impl EstimateCache {
     }
 
     /// Looks up a cached estimate in `tenant`'s partition, promoting it
-    /// to most-recently-used and bumping the hit/miss counters (local and
-    /// `serve.cache_*` obs). Borrows the key — hits never allocate.
+    /// to most-recently-used and bumping the hit/miss counters (the ones
+    /// `/stats` and `/metrics` read). Borrows the key — hits never allocate.
     pub fn get(&self, tenant: u32, key: &CacheKey) -> Option<f64> {
         let partition = self.partition(tenant);
         let got = partition
@@ -220,10 +220,8 @@ impl EstimateCache {
             .get(key);
         if got.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            selearn_obs::counter_add("serve.cache_hits", 1);
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            selearn_obs::counter_add("serve.cache_misses", 1);
         }
         got
     }

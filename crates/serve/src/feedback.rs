@@ -249,7 +249,7 @@ mod tests {
         let sink = DurableFeedback::new(store, Arc::clone(&registry), "default", 6);
 
         let slot = registry.slot("default").expect("slot");
-        let gen0 = slot.generation();
+        let gen0 = slot.get().1;
         let mut last_lsn = 0;
         let mut swaps = 0;
         for i in 0..13 {
@@ -263,7 +263,7 @@ mod tests {
         assert_eq!(swaps, 2, "13 records / checkpoint-every-6");
         assert_eq!(sink.store().generation(), 2);
         assert!(
-            slot.generation() > gen0,
+            slot.get().1 > gen0,
             "checkpoint must hot-swap the serving model"
         );
         // The swapped-in model is the frozen snapshot, not the placeholder.

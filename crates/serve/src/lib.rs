@@ -8,19 +8,20 @@
 //! needs:
 //!
 //! * **Wire protocol** ([`protocol`]) — one JSON object per line in, one
-//!   per line out; dependency-free parsing ([`json`]) and rendering.
+//!   per line out; dependency-free parsing and rendering
+//!   ([`selearn_obs::json`]).
 //! * **Worker pool + bounded queue** ([`server`], [`queue`]) — a fixed
 //!   number of evaluation threads behind an admission-controlled queue.
 //! * **Hot-swap registry** ([`registry`]) — named models behind
-//!   `RwLock<Arc<dyn …>>`; refits swap in atomically, in-flight requests
-//!   keep their handle, and a worker that loses the swap race *degrades*
-//!   instead of blocking.
+//!   `RwLock<(Arc<dyn …>, generation)>`; refits swap in atomically and
+//!   in-flight requests keep their handle.
 //! * **Estimate cache** ([`cache`]) — sharded LRU keyed by
 //!   [quantized](selearn_core::quantize_rect_key) query rects and model
 //!   generation.
 //! * **Graceful degradation** — overload, queue-deadline expiry, and
-//!   swap races all answer with the uniform-selectivity fallback, flagged
-//!   `"degraded":true` with a reason, never with silence.
+//!   exhausted tenant quotas all answer with the uniform-selectivity
+//!   fallback, flagged `"degraded":true` with a reason, never with
+//!   silence.
 //! * **Durable feedback** ([`feedback`]) — observed selectivities stream
 //!   through a [`FeedbackSink`] into a write-ahead-logged
 //!   [`selearn_store::ModelStore`]; every ack carries the record's WAL
@@ -36,9 +37,12 @@
 //!   scored against the currently served model into rolling q-error
 //!   windows; sustained breaches raise a scrapeable alarm.
 //!
-//! Observability rides on `selearn-obs`: `serve.qps` / `serve.queue_depth`
-//! gauges, `serve.latency_us` histogram, and `serve.cache_hits` /
-//! `serve.cache_misses` / `serve.requests_shed` (and friends) counters.
+//! Serving counts (requests, degradations by reason, errors, cache hits
+//! and misses, …) live once, in each server's [`ServeStats`] and
+//! [`EstimateCache`]; `/stats` and `/metrics` read them there. The
+//! process-wide `selearn-obs` registries carry the rest: `serve.qps` /
+//! `serve.queue_depth` gauges, the `serve.latency_us` histogram, and the
+//! per-tenant, model-swap, feedback and drift counters.
 //! With `trace_sample_every` set and a sink installed, every Nth request
 //! additionally emits end-to-end `trace` events (recv → dequeue →
 //! cache/estimate/wal_append → respond) sharing one trace id.
@@ -57,7 +61,6 @@ pub mod cache;
 pub mod client;
 pub mod drift;
 pub mod feedback;
-pub mod json;
 pub mod poller;
 pub mod protocol;
 pub mod queue;
@@ -70,8 +73,8 @@ pub use drift::{DriftConfig, DriftMonitor, DriftStatus};
 pub use client::{parse_response, run_load, Client, LoadOptions, LoadReport};
 pub use feedback::{DurableFeedback, FeedbackAck, FeedbackSink};
 pub use protocol::{
-    parse_line, parse_request, DegradeReason, Feedback, Request, RequestLine, Response, Shape,
-    ShapeKind, DEFAULT_MODEL,
+    parse_line, DegradeReason, Feedback, Request, RequestLine, Response, Shape, ShapeKind,
+    DEFAULT_MODEL,
 };
 pub use queue::BoundedQueue;
 pub use registry::{

@@ -9,17 +9,16 @@
 //! targets); `nfds_t` is passed as `usize`, which matches the 64-bit
 //! Linux definition this repo's container runs on.
 //!
-//! Alongside the syscall wrapper lives [`Waker`]: a loopback-TCP socket
-//! pair whose receive end sits in every poll set, so any thread (a worker
-//! finishing a response for a write-blocked connection, a shutdown path)
-//! can interrupt a sleeping poller by writing one byte. A real `pipe(2)`
-//! would be cheaper but needs another unsafe declaration and fd juggling;
-//! the TCP pair reuses `std`'s socket types and is created once per
-//! server.
+//! Alongside the syscall wrapper lives [`Waker`]: a connected Unix-domain
+//! socket pair (`std`'s `UnixStream::pair`, safe code, no address or
+//! listener) whose receive end sits in every poll set, so any thread (a
+//! worker finishing a response for a write-blocked connection, a shutdown
+//! path) can interrupt a sleeping poller by writing one byte. The pair is
+//! created once per server.
 
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Readable data (or a connection to accept) is available.
@@ -109,18 +108,18 @@ pub fn poll(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
 }
 
 /// Wakes a sleeping [`poll`] from another thread: the receive half of a
-/// loopback TCP pair sits in the poll set; [`Waker::wake`] writes one
+/// socket pair sits in the poll set; [`Waker::wake`] writes one
 /// byte to the send half. Wakes are coalesced through an atomic flag so
 /// a burst of wakers costs one byte, and [`Waker::drain`] empties the
 /// socket before the next sleep.
 pub struct Waker {
-    tx: TcpStream,
+    tx: UnixStream,
     pending: AtomicBool,
 }
 
 impl Waker {
     /// The readable end to register with `POLLIN` interest.
-    pub fn rx_fd(&self, rx: &TcpStream) -> PollFd {
+    pub fn rx_fd(&self, rx: &UnixStream) -> PollFd {
         PollFd::new(rx.as_raw_fd(), POLLIN)
     }
 
@@ -135,32 +134,19 @@ impl Waker {
     }
 
     /// Empties the wake socket after the poller observes it readable.
-    pub fn drain(&self, rx: &mut TcpStream) {
+    pub fn drain(&self, rx: &mut UnixStream) {
         self.pending.store(false, Ordering::Release);
         let mut buf = [0u8; 64];
         while matches!(rx.read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
-/// Creates a connected loopback pair: `(waker, rx)`. The receive end goes
-/// into the poll set; the [`Waker`] (send end) is shared across threads.
-pub fn wake_pair() -> io::Result<(Waker, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let tx = TcpStream::connect(addr)?;
-    let local = tx.local_addr()?;
-    // Accept until we get *our* connection: another process racing on the
-    // port could connect first, and a hijacked waker would let a stranger
-    // spin the poller.
-    let rx = loop {
-        let (stream, peer) = listener.accept()?;
-        if peer == local {
-            break stream;
-        }
-        // Stranger: drop their connection and keep waiting for ours.
-    };
+/// Creates a connected, nonblocking socket pair: `(waker, rx)`. The
+/// receive end goes into the poll set; the [`Waker`] (send end) is shared
+/// across threads.
+pub fn wake_pair() -> io::Result<(Waker, UnixStream)> {
+    let (tx, rx) = UnixStream::pair()?;
     tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
     rx.set_nonblocking(true)?;
     Ok((
         Waker {
@@ -174,6 +160,7 @@ pub fn wake_pair() -> io::Result<(Waker, TcpStream)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::{TcpListener, TcpStream};
     use std::time::{Duration, Instant};
 
     #[test]
@@ -229,12 +216,18 @@ mod tests {
         assert_eq!(n, 1);
         assert!(fds[0].readable());
         assert!(start.elapsed() < Duration::from_secs(4));
-        // Join before draining: both wakes have then happened, so nothing
-        // can arrive after the drain, and exactly one byte is in flight.
+        // Join before reading: both wakes have then happened, so nothing
+        // can arrive later, and exactly one byte is in flight.
         t.join().expect("join");
+        let mut buf = [0u8; 8];
         assert_eq!(
-            rx.peek(&mut [0u8; 8]).expect("peek"),
+            rx.read(&mut buf).expect("read"),
             1,
+            "second wake must coalesce"
+        );
+        assert_eq!(
+            rx.read(&mut buf).map_err(|e| e.kind()),
+            Err(ErrorKind::WouldBlock),
             "second wake must coalesce"
         );
         waker.drain(&mut rx);

@@ -39,7 +39,6 @@
 //! |--------------|--------------------------------------------------------|
 //! | `"shed"`     | the bounded request queue was full (global overload)   |
 //! | `"deadline"` | the request out-waited its queue deadline              |
-//! | `"swap"`     | the model was mid-hot-swap at evaluation time          |
 //! | `"quota"`    | the tenant's per-namespace admission quota ran dry     |
 //!
 //! Model names are namespaced `table.column` ids; the prefix before the
@@ -61,9 +60,8 @@
 //! that admission control would shed also answers an error (never a
 //! fake ack) so a client can retry.
 
-use crate::json::{parse, Json};
 use selearn_geom::{Ball, Halfspace, Point, Range, Rect};
-use selearn_obs::json::{escape_into, fmt_f64_into};
+use selearn_obs::json::{escape_into, fmt_f64_into, parse, Json};
 
 /// Registry name used when a request omits `"est"`.
 pub const DEFAULT_MODEL: &str = "default";
@@ -329,17 +327,9 @@ impl RequestLine {
     }
 }
 
-/// Parses one request line. The error string is safe to echo back to the
-/// client (it never contains request content, only positions/shapes).
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    match parse_line(line)? {
-        RequestLine::Estimate(req) => Ok(req),
-        RequestLine::Feedback(_) => Err("unexpected \"sel\" in an estimate request".into()),
-    }
-}
-
 /// Parses one inbound line, classifying it as an estimate request or a
-/// feedback record. Error strings are safe to echo back to the client.
+/// feedback record. Error strings are safe to echo back to the client
+/// (they never contain request content, only positions/shapes).
 pub fn parse_line(line: &str) -> Result<RequestLine, String> {
     let v = parse(line)?;
     if !matches!(v, Json::Obj(_)) {
@@ -429,8 +419,6 @@ pub enum DegradeReason {
     Shed,
     /// The request waited past its deadline in the queue.
     Deadline,
-    /// The model was mid-hot-swap when the worker tried to read it.
-    Swap,
     /// The tenant's admission token bucket was empty (per-tenant quota).
     Quota,
 }
@@ -441,7 +429,6 @@ impl DegradeReason {
         match self {
             DegradeReason::Shed => "shed",
             DegradeReason::Deadline => "deadline",
-            DegradeReason::Swap => "swap",
             DegradeReason::Quota => "quota",
         }
     }
@@ -549,10 +536,23 @@ fn push_id(out: &mut String, id: Option<u64>) {
 mod tests {
     use super::*;
 
+    /// The estimate request `line` parses to; feedback lines are refused.
+    fn parse_estimate(line: &str) -> Result<Request, String> {
+        match parse_line(line)? {
+            RequestLine::Estimate(req) => Ok(req),
+            RequestLine::Feedback(fb) => Err(format!("feedback line: {fb:?}")),
+        }
+    }
+
+    /// `true` when `line` parses as exactly one JSON object.
+    fn is_json_object(line: &str) -> bool {
+        matches!(parse(line), Ok(Json::Obj(_)))
+    }
+
     #[test]
     fn request_round_trips() {
         let r = Request::rect("quadhist", vec![0.1, 0.2], vec![0.5, 0.6], Some(7));
-        assert_eq!(parse_request(&r.to_json()).unwrap(), r);
+        assert_eq!(parse_estimate(&r.to_json()).unwrap(), r);
     }
 
     #[test]
@@ -560,10 +560,10 @@ mod tests {
         let r = Request::halfspace("quadhist", vec![1.0, -0.5], 0.25, Some(9));
         let line = r.to_json();
         assert!(line.contains("\"shape\":\"halfspace\""), "{line}");
-        assert_eq!(parse_request(&line).unwrap(), r);
+        assert_eq!(parse_estimate(&line).unwrap(), r);
         // Explicit wire form parses too.
         let parsed =
-            parse_request(r#"{"shape":"halfspace","normal":[1.0,-0.5],"offset":0.25,"id":9}"#)
+            parse_estimate(r#"{"shape":"halfspace","normal":[1.0,-0.5],"offset":0.25,"id":9}"#)
                 .unwrap();
         assert_eq!(parsed.shape.kind(), ShapeKind::Halfspace);
         assert_eq!(parsed.shape.dim(), 2);
@@ -574,24 +574,24 @@ mod tests {
         let r = Request::ball("quadhist", vec![0.4, 0.6], 0.2, Some(10));
         let line = r.to_json();
         assert!(line.contains("\"shape\":\"ball\""), "{line}");
-        assert_eq!(parse_request(&line).unwrap(), r);
+        assert_eq!(parse_estimate(&line).unwrap(), r);
         let parsed =
-            parse_request(r#"{"shape":"ball","center":[0.4,0.6],"radius":0.2}"#).unwrap();
+            parse_estimate(r#"{"shape":"ball","center":[0.4,0.6],"radius":0.2}"#).unwrap();
         assert_eq!(parsed.shape.kind(), ShapeKind::Ball);
         assert!(parsed.shape.to_range().is_ok());
     }
 
     #[test]
     fn explicit_rect_shape_is_the_default_path() {
-        let a = parse_request(r#"{"lo":[0.1],"hi":[0.5]}"#).unwrap();
-        let b = parse_request(r#"{"shape":"rect","lo":[0.1],"hi":[0.5]}"#).unwrap();
+        let a = parse_estimate(r#"{"lo":[0.1],"hi":[0.5]}"#).unwrap();
+        let b = parse_estimate(r#"{"shape":"rect","lo":[0.1],"hi":[0.5]}"#).unwrap();
         assert_eq!(a.shape, b.shape);
         assert_eq!(a.shape.kind(), ShapeKind::Rect);
     }
 
     #[test]
     fn est_defaults_and_id_optional() {
-        let r = parse_request(r#"{"lo":[0.0],"hi":[1.0]}"#).unwrap();
+        let r = parse_estimate(r#"{"lo":[0.0],"hi":[1.0]}"#).unwrap();
         assert_eq!(r.est, DEFAULT_MODEL);
         assert_eq!(r.id, None);
     }
@@ -616,7 +616,7 @@ mod tests {
             r#"{"shape":"ball","center":[0.5,0.5]}"#,
             r#"{"shape":"ball","radius":0.2}"#,
         ] {
-            assert!(parse_request(bad).is_err(), "accepted {bad:?}");
+            assert!(parse_estimate(bad).is_err(), "accepted {bad:?}");
         }
     }
 
@@ -657,8 +657,6 @@ mod tests {
             parse_line(line).unwrap(),
             RequestLine::Estimate(_)
         ));
-        // parse_request refuses feedback lines rather than dropping "sel".
-        assert!(parse_request(&fb.to_json()).is_err());
         // Non-numeric "sel" is rejected.
         assert!(parse_line(r#"{"lo":[0.1],"hi":[0.2],"sel":"x"}"#).is_err());
     }
@@ -716,7 +714,7 @@ mod tests {
             generation: 6,
         };
         let line = ack.to_json();
-        assert!(selearn_obs::json::validate_json_object(&line), "{line}");
+        assert!(is_json_object(&line), "{line}");
         assert!(line.contains("\"ack\":true"));
         assert!(line.contains("\"lsn\":4312"));
         assert!(line.contains("\"gen\":6"));
@@ -746,11 +744,7 @@ mod tests {
         };
         for r in [&ok, &degraded, &err] {
             let line = r.to_json();
-            assert!(
-                selearn_obs::json::validate_json_object(&line),
-                "invalid: {line}"
-            );
-            assert!(crate::json::parse(&line).is_ok(), "unparseable: {line}");
+            assert!(is_json_object(&line), "invalid: {line}");
         }
         assert!(ok.to_json().contains("\"cached\":true"));
         assert!(degraded.to_json().contains("\"reason\":\"shed\""));
@@ -765,15 +759,12 @@ mod tests {
             Request::ball("m", vec![0.5, 0.5], 0.25, Some(2)),
         ] {
             let line = r.to_json();
-            assert!(
-                selearn_obs::json::validate_json_object(&line),
-                "invalid: {line}"
-            );
+            assert!(is_json_object(&line), "invalid: {line}");
         }
     }
 
-    use crate::json::MAX_DEPTH;
     use proptest::prelude::*;
+    use selearn_obs::json::MAX_DEPTH;
 
     /// Model names: plain, namespaced, multi-byte (so char boundaries and
     /// byte offsets differ) and escaped.

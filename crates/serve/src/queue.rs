@@ -49,31 +49,13 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Dequeues the oldest item, blocking while the queue is empty.
-    /// Returns `None` once the queue is closed *and* drained — the worker
-    /// shutdown signal.
-    pub fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self
-                .takers
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
     /// Dequeues up to `max` items in FIFO order into `out` (which is
     /// cleared first), blocking while the queue is empty. One wake-up
     /// drains the whole backlog up to `max` — the primitive behind the
     /// workers' batched `estimate_into` hot loop: under load a worker
     /// picks up many queued requests per lock acquisition instead of one.
-    /// Returns `false` once the queue is closed *and* drained.
+    /// Returns `false` once the queue is closed *and* drained — the worker
+    /// shutdown signal.
     pub fn pop_batch(&self, out: &mut Vec<T>, max: usize) -> bool {
         out.clear();
         let max = max.max(1);
@@ -106,7 +88,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Closes the queue: producers fail from now on, consumers drain the
-    /// backlog and then observe `None`.
+    /// backlog and then observe `false`.
     pub fn close(&self) {
         self.state
             .lock()
@@ -140,26 +122,36 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// One item, the way a worker takes it (`None` at end of queue).
+    fn pop_one<T>(q: &BoundedQueue<T>) -> Option<T> {
+        let mut out = Vec::with_capacity(1);
+        q.pop_batch(&mut out, 1).then(|| out.pop()).flatten()
+    }
+
     #[test]
     fn fifo_order_and_capacity_bound() {
         let q = BoundedQueue::new(2);
         assert!(q.try_push(1).is_ok());
         assert!(q.try_push(2).is_ok());
         assert_eq!(q.try_push(3), Err(3), "third push must shed");
-        assert_eq!(q.pop(), Some(1));
+        assert_eq!(pop_one(&q), Some(1));
         assert!(q.try_push(3).is_ok());
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), Some(3));
+        assert_eq!(pop_one(&q), Some(2));
+        assert_eq!(pop_one(&q), Some(3));
     }
 
     #[test]
     fn close_drains_then_ends() {
         let q = BoundedQueue::new(4);
         q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
         q.close();
-        assert_eq!(q.try_push(2), Err(2), "closed queue rejects producers");
-        assert_eq!(q.pop(), Some(1), "backlog still drains");
-        assert_eq!(q.pop(), None, "then consumers see end-of-queue");
+        assert_eq!(q.try_push(3), Err(3), "closed queue rejects producers");
+        let mut out = Vec::new();
+        assert!(q.pop_batch(&mut out, 16), "backlog still drains");
+        assert_eq!(out, vec![1, 2]);
+        assert!(!q.pop_batch(&mut out, 16), "then consumers see end-of-queue");
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -179,22 +171,10 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_backlog_after_close() {
-        let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        q.close();
-        let mut out = Vec::new();
-        assert!(q.pop_batch(&mut out, 16), "backlog still drains");
-        assert_eq!(out, vec![1, 2]);
-        assert!(!q.pop_batch(&mut out, 16));
-    }
-
-    #[test]
     fn close_wakes_blocked_consumers() {
         let q = Arc::new(BoundedQueue::<u32>::new(1));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop());
+        let h = std::thread::spawn(move || pop_one(&q2));
         std::thread::sleep(std::time::Duration::from_millis(20));
         q.close();
         assert_eq!(h.join().unwrap(), None);
@@ -227,9 +207,9 @@ mod tests {
             .map(|_| {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(v) = q.pop() {
-                        got.push(v);
+                    let (mut got, mut batch) = (Vec::new(), Vec::new());
+                    while q.pop_batch(&mut batch, 4) {
+                        got.append(&mut batch);
                     }
                     got
                 })

@@ -1,18 +1,14 @@
-//! Multi-tenant named-model registry with non-blocking atomic hot-swap.
+//! Multi-tenant named-model registry with atomic hot-swap.
 //!
-//! Each registered model lives in a [`ModelSlot`]: an
-//! `RwLock<Arc<dyn SelectivityEstimator>>` plus a generation counter and
-//! the model's data-space root. Workers `try_read` the slot and clone the
-//! `Arc` — a few nanoseconds — then evaluate entirely on their own handle,
-//! so a concurrent [`swap`](ModelRegistry::swap) never invalidates an
-//! in-flight request. Swapping takes the write lock only for the pointer
-//! exchange; the old model is freed when its last in-flight reader drops
-//! its clone.
-//!
-//! If a worker's `try_read` loses the (tiny) race with a swap it does
-//! **not** block the request behind the writer: it degrades to the
-//! uniform-selectivity fallback with reason `"swap"`, keeping tail latency
-//! flat through model reloads.
+//! Each registered model lives in a [`ModelSlot`]: one
+//! `RwLock<(Arc<dyn SelectivityEstimator>, generation)>` plus the model's
+//! data-space root. Workers [`get`](ModelSlot::get) the pair — a read lock
+//! and an `Arc` clone, a few nanoseconds — then evaluate entirely on their
+//! own handle, so a concurrent [`swap`](ModelRegistry::swap) never
+//! invalidates an in-flight request, and a model is never paired with
+//! another model's generation. Swapping holds the write lock only for the
+//! pair exchange; the old model is freed after the lock is released, or
+//! when its last in-flight reader drops its clone.
 //!
 //! **Multi-tenancy.** Model names are namespaced `table.column` ids: the
 //! prefix before the first `.` is the model's *tenant* (the whole name
@@ -29,7 +25,7 @@
 use selearn_core::SharedEstimator;
 use selearn_geom::Rect;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -166,12 +162,12 @@ pub fn tenant_namespace(model_name: &str) -> &str {
     model_name.split_once('.').map_or(model_name, |(ns, _)| ns)
 }
 
-/// One registered model: the hot-swappable estimator, its generation
-/// (bumped per swap, part of the cache key), the data-space root used
-/// for the uniform fallback, a dense interned id, and its tenant.
+/// One registered model: the hot-swappable estimator together with its
+/// generation (bumped per swap, part of the cache key), the data-space
+/// root used for the uniform fallback, a dense interned id, and its
+/// tenant.
 pub struct ModelSlot {
-    model: RwLock<SharedEstimator>,
-    generation: AtomicU64,
+    current: RwLock<(SharedEstimator, u64)>,
     root: Rect,
     id: u32,
     tenant: Arc<Tenant>,
@@ -180,8 +176,7 @@ pub struct ModelSlot {
 impl ModelSlot {
     fn new(model: SharedEstimator, root: Rect, id: u32, tenant: Arc<Tenant>) -> Self {
         Self {
-            model: RwLock::new(model),
-            generation: AtomicU64::new(0),
+            current: RwLock::new((model, 0)),
             root,
             id,
             tenant,
@@ -205,43 +200,25 @@ impl ModelSlot {
         &self.tenant
     }
 
-    /// Current generation (number of completed swaps).
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Ordering::Acquire)
-    }
-
-    /// Non-blocking model read: a cheap `Arc` clone plus the generation it
-    /// belongs to, or `None` when a swap holds the lock right now (the
-    /// caller degrades instead of waiting).
-    pub fn try_get(&self) -> Option<(SharedEstimator, u64)> {
-        // Read the generation before the model: if a swap completes in
-        // between, we pair the *new* model with the *old* generation and
-        // merely miss the cache once — never serve a stale cached value
-        // under a new generation.
-        let generation = self.generation();
-        let guard = self.model.try_read().ok()?;
-        Some((guard.clone(), generation))
-    }
-
-    /// Blocking model read, for non-latency-critical callers (load
-    /// reports, tests).
+    /// The current model and its generation (the number of completed
+    /// swaps), read together: a cheap `Arc` clone under the read lock.
     pub fn get(&self) -> (SharedEstimator, u64) {
-        let generation = self.generation();
-        let model = self
-            .model
+        self.current
             .read()
             .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        (model, generation)
+            .clone()
     }
 
-    /// Atomically replaces the model and bumps the generation.
+    /// Replaces the model and bumps the generation in one write. The old
+    /// model is dropped after the lock is released, so freeing it never
+    /// holds up a reader.
     fn swap(&self, next: SharedEstimator) {
-        let mut guard = self.model.write().unwrap_or_else(PoisonError::into_inner);
-        *guard = next;
-        // Bump while still holding the write lock so a reader can never
-        // observe (new model, old generation) after the swap completes.
-        self.generation.fetch_add(1, Ordering::Release);
+        let old = {
+            let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
+            let generation = current.1 + 1;
+            std::mem::replace(&mut *current, (next, generation))
+        };
+        drop(old);
     }
 }
 
@@ -419,7 +396,7 @@ impl ModelRegistry {
 /// The uniform-selectivity fallback: the fraction of the data-space root
 /// covered by the query box — exact for uniformly distributed data, and a
 /// sane bounded answer for anything else. Used whenever admission control
-/// or a mid-swap race keeps a request from reaching the model.
+/// keeps a request from reaching the model.
 pub fn uniform_fallback(root: &Rect, lo: &[f64], hi: &[f64]) -> f64 {
     if lo.len() != root.dim() || hi.len() != root.dim() {
         return 0.0;
@@ -474,6 +451,54 @@ mod tests {
         assert_eq!(m1.estimate(&Rect::unit(2).into()), 0.9);
         // The pre-swap handle still answers with the old model.
         assert_eq!(m0.estimate(&Rect::unit(2).into()), 0.1);
+    }
+
+    /// Readers racing 1 000 swaps always see the model installed under the
+    /// generation they read with it, and generations never go backwards.
+    #[test]
+    fn readers_see_the_model_of_the_generation_they_read() {
+        const SWAPS: u64 = 1_000;
+        let reg = Arc::new(ModelRegistry::new());
+        // The model installed by swap `k` answers `k`, so generation and
+        // model agree exactly when `estimate == generation`.
+        reg.register("m", Arc::new(Constant(0.0)), Rect::unit(1));
+        let slot = reg.slot("m").unwrap();
+        let probe: Range = Rect::unit(1).into();
+        let done = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                let (slot, probe) = (Arc::clone(&slot), probe.clone());
+                let (done, start) = (Arc::clone(&done), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    let (mut reads, mut last) = (0u64, 0u64);
+                    loop {
+                        let stop = done.load(Ordering::Acquire);
+                        let (model, generation) = slot.get();
+                        assert_eq!(model.estimate(&probe), generation as f64);
+                        assert!(
+                            generation >= last,
+                            "generation went back {last} -> {generation}"
+                        );
+                        last = generation;
+                        reads += 1;
+                        if stop {
+                            return reads;
+                        }
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        for k in 1..=SWAPS {
+            assert!(reg.swap("m", Arc::new(Constant(k as f64))));
+        }
+        done.store(true, Ordering::Release);
+        for r in readers {
+            assert!(r.join().unwrap() > 0);
+        }
+        assert_eq!(slot.get().1, SWAPS);
     }
 
     #[test]

@@ -35,23 +35,24 @@
 //!   in two passes. The *prepare* pass validates shapes, checks
 //!   deadlines, probes the tenant-partitioned estimate cache through a
 //!   reusable borrowed [`CacheKey`] (steady-state hits allocate nothing),
-//!   and `try_read`s the model slot (degrading with reason `"swap"`
-//!   rather than blocking behind a hot-swap). The *evaluate* pass groups
-//!   consecutive same-model requests and answers each run with one
-//!   allocation-free `estimate_into` call.
+//!   and reads the model with its generation ([`ModelSlot::get`]). The
+//!   *evaluate* pass groups consecutive same-model requests and answers
+//!   each run with one allocation-free `estimate_into` call.
 //! * **Responses** go through each connection's `ConnWriter`: a direct
 //!   nonblocking write when the socket has room, otherwise the remainder
 //!   lands in a bounded per-connection buffer and the poller re-arms the
 //!   socket with `POLLOUT` to finish the flush — a slow client can never
-//!   block a worker. A client whose buffer overflows
-//!   [`ServerConfig::max_conn_write_buffer`] is dropped and counted
-//!   (`serve.slow_client_drops`), not allowed to wedge the server.
+//!   block a worker. A client whose buffer overflows 1 MiB is dropped and
+//!   counted ([`ServeStats::slow_client_drops`]), not allowed to wedge
+//!   the server.
 //!
-//! Every response path increments `serve.requests_total`; degraded paths
-//! additionally record `serve.requests_shed` / `..._deadline` / `..._swap`
-//! / `..._quota` so (requests − degraded − errors) always equals real
-//! model/cache answers. Per-tenant request and quota-shed counters ride
-//! on labeled series (`serve.tenant_requests{tenant="…"}`).
+//! Every serving count is recorded once, in the server's [`ServeStats`]
+//! (and the cache's hit/miss counters): every response path counts a
+//! request, degraded paths additionally count their reason (shed,
+//! deadline, quota), so (requests − degraded − errors) always equals real
+//! model/cache answers. `/stats`, `/metrics` and the exit summary all read
+//! these. Per-tenant request and quota-shed counters ride on labeled obs
+//! series (`serve.tenant_requests{tenant="…"}`).
 
 use crate::admin::{self, AdminView};
 use crate::cache::{CacheKey, EstimateCache};
@@ -70,6 +71,7 @@ use selearn_geom::{Ball, Halfspace, Point, Range, Rect, VolumeEstimator};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -89,10 +91,6 @@ pub struct ServerConfig {
     /// Queue-wait budget per request; `Duration::ZERO` disables deadline
     /// degradation.
     pub deadline: Duration,
-    /// Per-connection response buffer cap: a client that falls further
-    /// behind than this is dropped (`serve.slow_client_drops`) instead of
-    /// buffering unboundedly.
-    pub max_conn_write_buffer: usize,
     /// Default per-tenant admission quota in requests/sec (0 disables —
     /// tenants are unlimited unless [`ModelRegistry::set_quota`] says
     /// otherwise).
@@ -117,7 +115,6 @@ impl Default for ServerConfig {
             queue_capacity: 256,
             cache_capacity: 4096,
             deadline: Duration::from_millis(100),
-            max_conn_write_buffer: 1024 * 1024,
             tenant_quota_rps: 0.0,
             tenant_quota_burst: 64.0,
             trace_sample_every: 0,
@@ -126,8 +123,9 @@ impl Default for ServerConfig {
     }
 }
 
-/// Atomic per-server accounting, exported for soak assertions and the
-/// server binary's exit summary. All counts are lifetime totals.
+/// Atomic per-server accounting: the one record of every serving count,
+/// read by `/stats`, `/metrics`, the server binary's exit summary and the
+/// tests. All counts are lifetime totals.
 #[derive(Default)]
 pub struct ServeStats {
     requests: AtomicU64,
@@ -135,7 +133,6 @@ pub struct ServeStats {
     cache_answers: AtomicU64,
     shed: AtomicU64,
     deadline_expired: AtomicU64,
-    swap_degraded: AtomicU64,
     quota_shed: AtomicU64,
     errors: AtomicU64,
     connections: AtomicU64,
@@ -166,8 +163,6 @@ impl ServeStats {
         shed <- shed;
         /// Uniform fallbacks due to an expired queue-wait deadline.
         deadline_expired <- deadline_expired;
-        /// Uniform fallbacks due to losing the model-slot race with a swap.
-        swap_degraded <- swap_degraded;
         /// Uniform fallbacks due to an exhausted per-tenant quota.
         quota_shed <- quota_shed;
         /// Per-request error responses.
@@ -188,17 +183,16 @@ impl ServeStats {
 
     /// All uniform-fallback answers, regardless of reason.
     pub fn degraded(&self) -> u64 {
-        self.shed() + self.deadline_expired() + self.swap_degraded() + self.quota_shed()
+        self.shed() + self.deadline_expired() + self.quota_shed()
     }
 
     fn count_shape(&self, kind: ShapeKind) {
-        let (field, counter) = match kind {
-            ShapeKind::Rect => (&self.rect_requests, "serve.requests_rect"),
-            ShapeKind::Halfspace => (&self.halfspace_requests, "serve.requests_halfspace"),
-            ShapeKind::Ball => (&self.ball_requests, "serve.requests_ball"),
+        let field = match kind {
+            ShapeKind::Rect => &self.rect_requests,
+            ShapeKind::Halfspace => &self.halfspace_requests,
+            ShapeKind::Ball => &self.ball_requests,
         };
         field.fetch_add(1, Ordering::Relaxed);
-        selearn_obs::counter_add(counter, 1);
     }
 }
 
@@ -214,7 +208,6 @@ struct ConnWriter {
     /// Fatal: the poller reaps the connection at its next iteration and
     /// sends become no-ops.
     doomed: AtomicBool,
-    cap: usize,
     waker: Arc<Waker>,
     stats: Arc<ServeStats>,
 }
@@ -228,7 +221,7 @@ struct WriteHalf {
 }
 
 impl ConnWriter {
-    fn new(stream: TcpStream, waker: Arc<Waker>, stats: Arc<ServeStats>, cap: usize) -> Self {
+    fn new(stream: TcpStream, waker: Arc<Waker>, stats: Arc<ServeStats>) -> Self {
         Self {
             state: Mutex::new(WriteHalf {
                 stream,
@@ -237,7 +230,6 @@ impl ConnWriter {
             }),
             want_write: AtomicBool::new(false),
             doomed: AtomicBool::new(false),
-            cap: cap.max(4096),
             waker,
             stats,
         }
@@ -264,7 +256,6 @@ impl ConnWriter {
     /// Buffer-overflow doom: the client is reading slower than it sends.
     fn doom_slow(&self) {
         self.stats.slow_client_drops.fetch_add(1, Ordering::Relaxed);
-        selearn_obs::counter_add("serve.slow_client_drops", 1);
         self.doom();
     }
 
@@ -294,7 +285,7 @@ impl ConnWriter {
             }
             s.pending.extend_from_slice(&line[written..]);
         } else {
-            if s.pending.len() - s.sent + line.len() > self.cap {
+            if s.pending.len() - s.sent + line.len() > MAX_CONN_WRITE_BUFFER {
                 drop(s);
                 self.doom_slow();
                 return;
@@ -353,6 +344,11 @@ const CACHE_SHARDS: usize = 8;
 
 /// Hard cap on one request line; longer lines end the connection.
 const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Per-connection response buffer cap: a client that falls further behind
+/// than this is dropped ([`ServeStats::slow_client_drops`]) instead of
+/// buffering unboundedly.
+const MAX_CONN_WRITE_BUFFER: usize = 1024 * 1024;
 
 /// Jobs drained per [`BoundedQueue::pop_batch`] call. Bounds the worker's
 /// reusable buffers and the queueing delay any single request can pick up
@@ -606,7 +602,7 @@ fn bind_nonblocking(addr: &str) -> std::io::Result<TcpListener> {
 /// then dispatches readiness: accept-drain, per-connection read-drain
 /// with line splitting + admission (or head collection + answer on an
 /// admin connection), and write-buffer flushes.
-fn poller_loop(mut wake_rx: TcpStream, sh: &PollerShared) {
+fn poller_loop(mut wake_rx: UnixStream, sh: &PollerShared) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
     let mut chunk = vec![0u8; 16 * 1024];
@@ -734,7 +730,6 @@ fn accept_ready(listener: &TcpListener, admin: bool, conns: &mut Vec<Conn>, sh: 
                     ConnKind::Http(Instant::now())
                 } else {
                     sh.stats.connections.fetch_add(1, Ordering::Relaxed);
-                    selearn_obs::counter_add("serve.connections", 1);
                     ConnKind::Line
                 };
                 conns.push(Conn {
@@ -743,7 +738,6 @@ fn accept_ready(listener: &TcpListener, admin: bool, conns: &mut Vec<Conn>, sh: 
                         write_half,
                         Arc::clone(&sh.waker),
                         Arc::clone(&sh.stats),
-                        sh.config.max_conn_write_buffer,
                     )),
                     buf: Vec::new(),
                     read_closed: false,
@@ -854,7 +848,6 @@ fn admit_line(line: Vec<u8>, writer: &Arc<ConnWriter>, sh: &PollerShared) {
     };
     if !slot.tenant().admit() {
         sh.stats.quota_shed.fetch_add(1, Ordering::Relaxed);
-        selearn_obs::counter_add("serve.requests_quota", 1);
         let response = match parsed {
             // A degraded *ack* would be a lie about durability — over-quota
             // feedback answers an error so the client knows to retry.
@@ -916,7 +909,6 @@ fn trace_job(trace_id: Option<u64>, stage: &str, received: Instant, note: &str) 
 /// instead of queueing, so overload degrades accuracy, not availability.
 fn shed(job: Job, stats: &ServeStats) {
     stats.shed.fetch_add(1, Ordering::Relaxed);
-    selearn_obs::counter_add("serve.requests_shed", 1);
     let response = match &job.kind {
         // A degraded *estimate* is a sane answer; a degraded *ack* would
         // be a lie about durability — shed feedback answers an error so
@@ -1071,7 +1063,6 @@ fn prepare_job(
     stats.count_shape(req.shape.kind());
     if config.deadline > Duration::ZERO && job.received.elapsed() > config.deadline {
         stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-        selearn_obs::counter_add("serve.requests_deadline", 1);
         trace_job(job.trace_id, "degraded", job.received, "deadline");
         return Prepared::Ready(degraded_response(
             req,
@@ -1080,19 +1071,7 @@ fn prepare_job(
             job.received,
         ));
     }
-    // Non-blocking model read: losing the race with a hot-swap degrades
-    // this one request instead of stalling the worker behind the writer.
-    let Some((model, generation)) = slot.try_get() else {
-        stats.swap_degraded.fetch_add(1, Ordering::Relaxed);
-        selearn_obs::counter_add("serve.requests_swap_degraded", 1);
-        trace_job(job.trace_id, "degraded", job.received, "swap");
-        return Prepared::Ready(degraded_response(
-            req,
-            slot.root(),
-            DegradeReason::Swap,
-            job.received,
-        ));
-    };
+    let (model, generation) = slot.get();
     let tenant = slot.tenant().id();
     // Borrowed probe: refill the scratch key in place and look up by
     // reference — a hit allocates nothing; only a miss that later inserts
@@ -1170,7 +1149,6 @@ fn ingest_feedback(
     match sink.observe(TrainingQuery::new(range, fb.sel)) {
         Ok(ack) => {
             stats.feedback_acks.fetch_add(1, Ordering::Relaxed);
-            selearn_obs::counter_add("serve.feedback_acks", 1);
             trace_job(
                 job.trace_id,
                 "wal_append",
@@ -1255,7 +1233,6 @@ fn shape_fallback(root: &Rect, shape: &Shape) -> f64 {
 
 fn error_response(stats: &ServeStats, id: Option<u64>, message: String) -> Response {
     stats.errors.fetch_add(1, Ordering::Relaxed);
-    selearn_obs::counter_add("serve.request_errors", 1);
     Response::Error { id, message }
 }
 
@@ -1282,7 +1259,6 @@ fn response_line(response: &Response) -> String {
 /// still spans the send.
 fn respond(writer: &ConnWriter, stats: &ServeStats, response: &Response, received: Instant) {
     stats.requests.fetch_add(1, Ordering::Relaxed);
-    selearn_obs::counter_add("serve.requests_total", 1);
     writer.send(response_line(response).as_bytes());
     selearn_obs::histogram_record(
         "serve.latency_us",

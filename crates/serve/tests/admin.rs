@@ -6,7 +6,9 @@
 //! `/proc/self/task`, so tests in this binary serialize on one lock
 //! instead of fighting over counters and threads.
 
-use selearn_serve::synth::{synthetic_model, synthetic_requests};
+use selearn_serve::synth::{
+    synthetic_mixed_model, synthetic_mixed_requests, synthetic_model, synthetic_requests,
+};
 use selearn_serve::{
     run_load, start, start_with_feedback, Client, DriftConfig, DriftMonitor, DurableFeedback,
     FeedbackSink, LoadOptions, ModelRegistry, Request, Response, ServerConfig, ServerHandle,
@@ -192,6 +194,127 @@ fn concurrent_scrapes_stay_valid_during_1k_request_soak() {
 
     handle.shutdown();
     selearn_obs::enable_stats(false);
+}
+
+/// `/metrics` reads the server's own counts, not the obs registry: with
+/// obs stats off, after a quiesced load over every shape plus error,
+/// unknown-model and over-quota lines, each serving family equals the
+/// getter `/stats` reads.
+#[test]
+fn metrics_serving_families_equal_the_servers_own_counts() {
+    let _g = OBS_LOCK.lock().unwrap();
+    selearn_obs::enable_stats(false);
+
+    let (model, root) = synthetic_mixed_model(2, 200, 11).expect("synthetic fit");
+    let model: selearn_core::SharedEstimator = Arc::new(model);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register(DEFAULT_MODEL, Arc::clone(&model), root.clone());
+    registry.register("q.m", model, root);
+    // Tenant `q` admits one request, then sheds with reason "quota".
+    assert!(registry.set_quota("q", Some((1e-6, 1.0))));
+    let handle = start(with_admin(), registry).expect("server");
+    let addr = handle.addr().to_string();
+
+    let report = run_load(
+        &addr,
+        &synthetic_mixed_requests(2, 48, 23),
+        &LoadOptions {
+            connections: 2,
+            total_requests: 300,
+            rate: None,
+        },
+    )
+    .expect("load");
+    assert_eq!((report.sent, report.errors), (300, 0));
+    let mut client = Client::connect(&addr).expect("connect");
+    for _ in 0..3 {
+        let resp = client
+            .call(&Request::rect(
+                "q.m",
+                vec![0.1, 0.1],
+                vec![0.4, 0.4],
+                Some(1),
+            ))
+            .expect("quota call");
+        assert!(matches!(resp, Response::Estimate { .. }), "{resp:?}");
+    }
+    for line in ["not json", r#"{"est":"nope","lo":[0.1],"hi":[0.2]}"#] {
+        client.send_line(line).expect("send");
+        let resp = client.recv().expect("recv");
+        assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+    }
+    // Every answer is in: the counts are quiescent from here on.
+
+    let (status, body) = http_get(&admin_addr(&handle), "/metrics");
+    assert_eq!(status, 200);
+    let (s, cache) = (handle.stats(), handle.cache());
+    assert_eq!(s.requests(), 305);
+    assert_eq!((s.quota_shed(), s.errors()), (2, 2));
+    assert!(s.rect_requests() > 0 && s.halfspace_requests() > 0 && s.ball_requests() > 0);
+    assert!(cache.hits() > 0 && cache.misses() > 0);
+    for (family, count) in [
+        ("serve_requests_total", s.requests()),
+        ("serve_requests_shed", s.shed()),
+        ("serve_requests_deadline", s.deadline_expired()),
+        ("serve_requests_quota", s.quota_shed()),
+        ("serve_request_errors", s.errors()),
+        ("serve_connections", s.connections()),
+        ("serve_slow_client_drops", s.slow_client_drops()),
+        ("serve_feedback_acks", s.feedback_acks()),
+        ("serve_requests_rect", s.rect_requests()),
+        ("serve_requests_halfspace", s.halfspace_requests()),
+        ("serve_requests_ball", s.ball_requests()),
+        ("serve_cache_hits", cache.hits()),
+        ("serve_cache_misses", cache.misses()),
+    ] {
+        assert_eq!(
+            check_exposition(&body, family),
+            Some(count as f64),
+            "{family}\n{body}"
+        );
+        assert_eq!(
+            body.matches(&format!("# TYPE {family} counter\n")).count(),
+            1
+        );
+    }
+    assert!(!body.contains("serve_requests_swap_degraded"), "{body}");
+
+    handle.shutdown();
+}
+
+/// Each server's `/metrics` reports its own requests, not a process-wide
+/// total.
+#[test]
+fn two_servers_in_one_process_report_their_own_requests() {
+    let _g = OBS_LOCK.lock().unwrap();
+    selearn_obs::enable_stats(false);
+
+    let servers = [serve_synthetic_with_admin(), serve_synthetic_with_admin()];
+    for (handle, n) in servers.iter().zip([3u64, 5]) {
+        let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+        for id in 0..n {
+            let resp = client
+                .call(&Request::rect(
+                    DEFAULT_MODEL,
+                    vec![0.1, 0.1],
+                    vec![0.5, 0.5],
+                    Some(id),
+                ))
+                .expect("call");
+            assert!(matches!(resp, Response::Estimate { .. }), "{resp:?}");
+        }
+    }
+    for (handle, n) in servers.iter().zip([3.0, 5.0]) {
+        let (_, body) = http_get(&admin_addr(handle), "/metrics");
+        assert_eq!(
+            check_exposition(&body, "serve_requests_total"),
+            Some(n),
+            "{body}"
+        );
+    }
+    for handle in servers {
+        handle.shutdown();
+    }
 }
 
 /// Decodes a `{key="value"}` label suffix written with the exposition's

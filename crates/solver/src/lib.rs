@@ -49,9 +49,9 @@ pub use csr::CsrMatrix;
 pub use error::SolverError;
 pub use fista::{fista_simplex_ls, FistaOptions, FistaResult};
 pub use ipf::{ipf_max_entropy, IpfOptions, IpfResult};
-pub use linf::{linf_fit_exact, linf_fit_smoothed, linf_fit_smoothed_with_report, LinfOptions};
+pub use linf::{linf_fit_exact, linf_fit_smoothed, LinfOptions};
 pub use linprog::{linprog, Constraint, ConstraintOp, LpResult, LpStatus};
 pub use matrix::DenseMatrix;
-pub use nnls::{nnls, nnls_simplex, nnls_simplex_with_report, nnls_with_report, NnlsOptions};
+pub use nnls::{nnls, nnls_simplex, NnlsOptions};
 pub use report::SolveReport;
 pub use simplex_proj::{simplex_projection, try_simplex_projection};

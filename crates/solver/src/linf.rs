@@ -109,21 +109,14 @@ fn validate_linf(solver: &'static str, a: &DenseMatrix, s: &[f64]) -> Result<(),
 /// Scalable smoothed `L∞` fit: minimizes the soft maximum
 /// `(1/β) log Σ_i (e^{β r_i} + e^{−β r_i})` of the residuals `r = Aw − s`
 /// with projected gradient descent over the simplex.
-pub fn linf_fit_smoothed(
-    a: &DenseMatrix,
-    s: &[f64],
-    opts: &LinfOptions,
-) -> Result<Vec<f64>, SolverError> {
-    Ok(linf_fit_smoothed_with_report(a, s, opts)?.0)
-}
-
-/// [`linf_fit_smoothed`] plus a [`SolveReport`]. The subgradient method
+///
+/// Returns the weights with a [`SolveReport`]. The subgradient method
 /// runs a fixed budget and keeps the best iterate seen, so there is no
 /// classic stopping criterion; `converged` is defined as "the best
 /// iterate was found in the first 90% of the budget" — `false` means the
 /// incumbent was still improving at the end and more iterations would
 /// likely help.
-pub fn linf_fit_smoothed_with_report(
+pub fn linf_fit_smoothed(
     a: &DenseMatrix,
     s: &[f64],
     opts: &LinfOptions,
@@ -244,7 +237,9 @@ mod tests {
         ]);
         let s = vec![0.4, 0.6, 0.3, 0.7];
         let we = linf_fit_exact(&a, &s).unwrap();
-        let ws = linf_fit_smoothed(&a, &s, &LinfOptions::default()).unwrap();
+        let ws = linf_fit_smoothed(&a, &s, &LinfOptions::default())
+            .unwrap()
+            .0;
         let ee = linf_error(&a, &we, &s);
         let es = linf_error(&a, &ws, &s);
         assert!(
@@ -256,7 +251,9 @@ mod tests {
     #[test]
     fn smoothed_output_on_simplex() {
         let a = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 1.0]]);
-        let w = linf_fit_smoothed(&a, &[0.4, 0.6], &LinfOptions::default()).unwrap();
+        let w = linf_fit_smoothed(&a, &[0.4, 0.6], &LinfOptions::default())
+            .unwrap()
+            .0;
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-7);
         assert!(w.iter().all(|&v| v >= 0.0));
         assert!(linf_error(&a, &w, &[0.4, 0.6]) < 1e-2);

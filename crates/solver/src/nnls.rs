@@ -33,17 +33,6 @@ impl Default for NnlsOptions {
     }
 }
 
-/// Solves `min ‖Ax − b‖²` subject to `x ≥ 0` (Lawson–Hanson).
-///
-/// Returns the nonnegative least-squares solution, or a typed
-/// [`SolverError`] on shape mismatches and NaN/infinite input. The
-/// passive-set subproblems are solved through the normal equations with
-/// Cholesky, which is accurate for the well-scaled design matrices produced
-/// by Equation (6) (entries in `[0, 1]`).
-pub fn nnls(a: &DenseMatrix, b: &[f64], opts: &NnlsOptions) -> Result<Vec<f64>, SolverError> {
-    Ok(nnls_with_report(a, b, opts)?.0)
-}
-
 /// Shared input validation for the NNLS entry points.
 fn validate_nnls(a: &DenseMatrix, b: &[f64], opts: &NnlsOptions) -> Result<(), SolverError> {
     check_len("nnls", "labels", a.rows(), b.len())?;
@@ -71,13 +60,19 @@ fn validate_nnls(a: &DenseMatrix, b: &[f64], opts: &NnlsOptions) -> Result<(), S
     Ok(())
 }
 
-/// [`nnls`] plus a [`SolveReport`]: `converged` is `true` when the KKT
-/// conditions were satisfied, `false` when the active-set budget was
-/// exhausted and the last iterate was returned. Emits per-iteration
-/// convergence events and a terminal `solver-report` event when
-/// observability is enabled; bumps the `active_set_swaps` counter on every
-/// passive-set change.
-pub fn nnls_with_report(
+/// Solves `min ‖Ax − b‖²` subject to `x ≥ 0` (Lawson–Hanson).
+///
+/// Returns the nonnegative least-squares solution with a [`SolveReport`],
+/// or a typed [`SolverError`] on shape mismatches and NaN/infinite input.
+/// The report's `converged` is `true` when the KKT conditions were
+/// satisfied, `false` when the active-set budget was exhausted and the
+/// last iterate was returned. The passive-set subproblems are solved
+/// through the normal equations with Cholesky, which is accurate for the
+/// well-scaled design matrices produced by Equation (6) (entries in
+/// `[0, 1]`). Emits per-iteration convergence events and a terminal
+/// `solver-report` event when observability is enabled; bumps the
+/// `active_set_swaps` counter on every passive-set change.
+pub fn nnls(
     a: &DenseMatrix,
     b: &[f64],
     opts: &NnlsOptions,
@@ -237,18 +232,11 @@ fn solve_ls_subset(a: &DenseMatrix, b: &[f64], idx: &[usize]) -> Option<Vec<f64>
 /// Solves Equation (8) — simplex-constrained least squares — through NNLS
 /// with a penalty row: minimize `‖Aw − s‖² + ρ (Σ w − 1)²` over `w ≥ 0`,
 /// then renormalize the tiny residual drift so `Σ w = 1` exactly.
-pub fn nnls_simplex(
-    a: &DenseMatrix,
-    s: &[f64],
-    opts: &NnlsOptions,
-) -> Result<Vec<f64>, SolverError> {
-    Ok(nnls_simplex_with_report(a, s, opts)?.0)
-}
-
-/// [`nnls_simplex`] plus the inner solve's [`SolveReport`]. The report's
+///
+/// Returns the weights with the inner solve's [`SolveReport`], whose
 /// `final_residual` is re-measured on the *original* system after the
 /// simplex renormalization, so it is directly comparable to FISTA's.
-pub fn nnls_simplex_with_report(
+pub fn nnls_simplex(
     a: &DenseMatrix,
     s: &[f64],
     opts: &NnlsOptions,
@@ -266,7 +254,7 @@ pub fn nnls_simplex_with_report(
     aug.push_row(&vec![rho; m]);
     let mut b = s.to_vec();
     b.push(rho);
-    let (mut w, mut report) = nnls_with_report(&aug, &b, opts)?;
+    let (mut w, mut report) = nnls(&aug, &b, opts)?;
     let total: f64 = w.iter().sum();
     if total > 1e-9 {
         for v in &mut w {
@@ -289,7 +277,7 @@ mod tests {
         // A = I, b ≥ 0 ⇒ x = b.
         let a = DenseMatrix::identity(3);
         let b = vec![1.0, 2.0, 3.0];
-        let x = nnls(&a, &b, &NnlsOptions::default()).unwrap();
+        let x = nnls(&a, &b, &NnlsOptions::default()).unwrap().0;
         for (xi, bi) in x.iter().zip(&b) {
             assert!((xi - bi).abs() < 1e-9);
         }
@@ -299,7 +287,7 @@ mod tests {
     fn clips_negative_components() {
         // A = I, b = (1, −1) ⇒ x = (1, 0).
         let a = DenseMatrix::identity(2);
-        let x = nnls(&a, &[1.0, -1.0], &NnlsOptions::default()).unwrap();
+        let x = nnls(&a, &[1.0, -1.0], &NnlsOptions::default()).unwrap().0;
         assert!((x[0] - 1.0).abs() < 1e-9);
         assert_eq!(x[1], 0.0);
     }
@@ -308,7 +296,9 @@ mod tests {
     fn overdetermined_regression() {
         // Fit y = 2u with design [[1],[2],[3]] and b = [2,4,6].
         let a = DenseMatrix::from_rows(&[vec![1.0], vec![2.0], vec![3.0]]);
-        let x = nnls(&a, &[2.0, 4.0, 6.0], &NnlsOptions::default()).unwrap();
+        let x = nnls(&a, &[2.0, 4.0, 6.0], &NnlsOptions::default())
+            .unwrap()
+            .0;
         assert!((x[0] - 2.0).abs() < 1e-9);
     }
 
@@ -321,7 +311,7 @@ mod tests {
             vec![0.5, 0.5],
         ]);
         let b = vec![1.0, 0.0, 0.3];
-        let x = nnls(&a, &b, &NnlsOptions::default()).unwrap();
+        let x = nnls(&a, &b, &NnlsOptions::default()).unwrap().0;
         assert!(x.iter().all(|&v| v >= 0.0));
         // KKT: dual Aᵀ(b − Ax) must be ≤ tol on active, ≈ 0 on passive.
         let r: Vec<f64> = {
@@ -345,7 +335,7 @@ mod tests {
             vec![0.0, 1.0, 0.5],
         ]);
         let s = vec![0.3, 0.7];
-        let w = nnls_simplex(&a, &s, &NnlsOptions::default()).unwrap();
+        let w = nnls_simplex(&a, &s, &NnlsOptions::default()).unwrap().0;
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(w.iter().all(|&v| v >= 0.0));
         // achieved loss should be near-zero: w = (0.3, 0.7, 0) works
@@ -362,7 +352,7 @@ mod tests {
             vec![0.3, 0.3, 0.9],
         ]);
         let s = vec![0.35, 0.55, 0.4, 0.5];
-        let w1 = nnls_simplex(&a, &s, &NnlsOptions::default()).unwrap();
+        let w1 = nnls_simplex(&a, &s, &NnlsOptions::default()).unwrap().0;
         let w2 = fista_simplex_ls(&crate::CsrMatrix::from_dense(&a), &s, &FistaOptions::default()).unwrap().weights;
         let l1 = a.residual_sq(&w1, &s);
         let l2 = a.residual_sq(&w2, &s);
@@ -380,7 +370,7 @@ mod tests {
             vec![0.5, 0.5],
         ]);
         let b = vec![1.0, 0.0, 0.3];
-        let (x, rep) = nnls_with_report(&a, &b, &NnlsOptions::default()).unwrap();
+        let (x, rep) = nnls(&a, &b, &NnlsOptions::default()).unwrap();
         assert_eq!(rep.solver, "nnls");
         assert!(rep.converged, "well-posed instance must meet KKT");
         assert!(rep.iters <= rep.max_iters);
@@ -393,7 +383,7 @@ mod tests {
             max_iters: 1,
             ..Default::default()
         };
-        let (_, rep) = nnls_with_report(&a, &b, &tight).unwrap();
+        let (_, rep) = nnls(&a, &b, &tight).unwrap();
         assert!(!rep.converged);
         assert_eq!(rep.iters, 1);
     }
@@ -403,7 +393,9 @@ mod tests {
         // With a zero design every simplex point is equally optimal; the
         // active-set method picks a vertex — we only require feasibility.
         let a = DenseMatrix::zeros(2, 4);
-        let w = nnls_simplex(&a, &[0.5, 0.5], &NnlsOptions::default()).unwrap();
+        let w = nnls_simplex(&a, &[0.5, 0.5], &NnlsOptions::default())
+            .unwrap()
+            .0;
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert!(w.iter().all(|&v| v >= 0.0));
     }
@@ -418,7 +410,7 @@ mod tests {
         ) {
             let a = DenseMatrix::from_rows(&rows);
             let b = &b[..rows.len()];
-            let x = nnls(&a, b, &NnlsOptions::default()).unwrap();
+            let x = nnls(&a, b, &NnlsOptions::default()).unwrap().0;
             proptest::prop_assert!(x.iter().all(|&v| v >= 0.0));
             // objective no worse than the zero vector
             let zero = vec![0.0; 3];

@@ -3,9 +3,8 @@
 //! Every iterative solver in this crate can exhaust its iteration budget
 //! and silently return the last iterate — acceptable for well-conditioned
 //! Equation (8) instances, but invisible to callers. [`SolveReport`]
-//! makes the exit condition a first-class return value: each solver gains
-//! a `*_with_report` variant, and the legacy entry points forward to it
-//! and drop the report, so existing call sites are untouched.
+//! makes the exit condition a first-class return value: every iterative
+//! solver returns its report beside the solution, one entry point each.
 
 /// Terminal summary of one iterative solve call.
 #[derive(Debug, Clone, Copy, PartialEq)]

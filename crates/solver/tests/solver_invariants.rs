@@ -68,7 +68,7 @@ proptest! {
         c in 1usize..MAX_COLS,
     ) {
         let a = matrix_from(&entries, r, c);
-        let w = nnls_simplex(&a, &s_pool[..r], &NnlsOptions::default()).unwrap();
+        let w = nnls_simplex(&a, &s_pool[..r], &NnlsOptions::default()).unwrap().0;
         assert_on_simplex(&w, c)?;
     }
 }

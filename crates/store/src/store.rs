@@ -151,26 +151,13 @@ impl ModelStore {
             }
         }
 
-        let mut scan = scan_wal(vfs.as_ref(), dir)?;
+        let scan = scan_wal(vfs.as_ref(), dir)?;
         if let Some(torn) = &scan.torn {
             report.torn_tail = Some(format!("{} at byte {}: {}", torn.segment, torn.offset, torn.what));
-            let valid = scan
-                .segments
-                .iter()
-                .find(|s| s.name == torn.segment)
-                .map(crate::wal::SegmentInfo::valid_len);
-            let file_len = match valid {
-                Some(_) => scan
-                    .segments
-                    .iter()
-                    .find(|s| s.name == torn.segment)
-                    .map_or(0, |s| s.file_len),
-                // Header never made it: the whole file is debris.
-                None => vfs.read(&dir.join(&torn.segment)).map(|b| b.len() as u64).unwrap_or(0),
-            };
-            report.truncated_bytes = file_len.saturating_sub(valid.unwrap_or(0));
+            // Everything past the valid prefix is debris — the whole file
+            // when its header never made it (`offset` 0).
+            report.truncated_bytes = torn.file_len - torn.offset;
             repair_torn_tail(vfs.as_ref(), dir, &scan)?;
-            scan = scan_wal(vfs.as_ref(), dir)?;
         }
 
         let checkpoint_lsn = base.as_ref().map_or(0, |&(_, lsn, _)| lsn);

@@ -98,6 +98,9 @@ pub struct TornTail {
     pub segment: String,
     /// Byte offset at which the valid prefix ends.
     pub offset: u64,
+    /// Length of the segment file as scanned, so the debris past
+    /// `offset` is `file_len - offset` bytes.
+    pub file_len: u64,
     /// Why the tail failed validation (for the recovery report).
     pub what: String,
 }
@@ -167,6 +170,7 @@ pub fn scan_wal(vfs: &dyn Vfs, dir: &Path) -> Result<WalScan, SelearnError> {
                 scan.torn = Some(TornTail {
                     segment: name.clone(),
                     offset: 0,
+                    file_len: bytes.len() as u64,
                     what,
                 });
                 if let Some(lsn) = expected_lsn {
@@ -213,6 +217,7 @@ pub fn scan_wal(vfs: &dyn Vfs, dir: &Path) -> Result<WalScan, SelearnError> {
             let fail = |what: String| TornTail {
                 segment: name.clone(),
                 offset: pos as u64,
+                file_len: bytes.len() as u64,
                 what,
             };
             if bytes.len() - pos < RECORD_HEADER_LEN as usize {
@@ -277,23 +282,20 @@ pub fn scan_wal(vfs: &dyn Vfs, dir: &Path) -> Result<WalScan, SelearnError> {
 
 /// Makes the on-disk log match a scan's valid prefix: truncates the torn
 /// tail (or removes a last segment whose header never hit the disk).
-/// Idempotent — a crash mid-repair re-runs it from the same scan.
+/// Afterwards the scan describes the log exactly, except for the repaired
+/// segment's `file_len` and `torn` itself, so a writer can open on it
+/// without a second scan. Idempotent — a crash mid-repair re-runs it from
+/// the same scan.
 pub fn repair_torn_tail(vfs: &dyn Vfs, dir: &Path, scan: &WalScan) -> Result<(), SelearnError> {
     let Some(torn) = &scan.torn else {
         return Ok(());
     };
     let path = dir.join(&torn.segment);
-    let keeps_header = scan.segments.iter().any(|s| s.name == torn.segment);
-    if keeps_header {
+    match scan.segments.iter().find(|s| s.name == torn.segment) {
         // The header (and possibly records before the tear) are valid.
-        let valid = scan
-            .segments
-            .iter()
-            .find(|s| s.name == torn.segment)
-            .map_or(SEGMENT_HEADER_LEN, SegmentInfo::valid_len);
-        vfs.truncate(&path, valid)?;
-    } else if vfs.exists(&path) {
-        vfs.remove_file(&path)?;
+        Some(segment) => vfs.truncate(&path, segment.valid_len())?,
+        None if vfs.exists(&path) => vfs.remove_file(&path)?,
+        None => {}
     }
     vfs.sync_dir(dir)?;
     Ok(())

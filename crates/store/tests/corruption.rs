@@ -28,7 +28,7 @@ use selearn_core::{SelearnError, SelectivityEstimator, TrainingQuery};
 use selearn_geom::{Range, Rect};
 use selearn_store::checkpoint::{checkpoint_name, config_fingerprint, read_checkpoint};
 use selearn_store::crc::crc32;
-use selearn_store::wal::scan_wal;
+use selearn_store::wal::{scan_wal, segment_name, SEGMENT_HEADER_LEN, SEGMENT_MAGIC};
 use selearn_store::{ModelStore, StdVfs, StoreConfig};
 
 fn test_dir(tag: &str) -> PathBuf {
@@ -110,6 +110,65 @@ fn bit_flip_in_last_segment_tail_is_truncated() {
     assert!(store.last_lsn() < 20, "damaged record was kept");
     assert!(store.last_lsn() >= 19 - 1, "truncated more than the tail");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Recovery reports exactly the debris bytes it cut, for a tear inside a
+/// record, for junk after the last record, and for a segment whose header
+/// never completed; the repaired log then takes appends and reopens clean.
+#[test]
+fn torn_tails_report_the_exact_truncated_bytes() {
+    // (damage, expected truncated bytes, expected last lsn)
+    let cases = [
+        ("mid-record", 5, 19),
+        ("trailing", 7, 20),
+        ("header", 10, 20),
+    ];
+    for (damage, bytes, last_lsn) in cases {
+        let dir = test_dir(damage);
+        seed(&dir, 20, 50); // no checkpoint: everything lives in the WAL
+        let scan = scan_wal(&StdVfs, &dir).expect("scan");
+        let last = scan.segments.last().expect("segments");
+        let path = dir.join(&last.name);
+        match damage {
+            "mid-record" => {
+                // Keep 5 bytes of the final record.
+                let ends = &last.record_ends;
+                let start = ends
+                    .len()
+                    .checked_sub(2)
+                    .map_or(SEGMENT_HEADER_LEN, |i| ends[i].1);
+                std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&path)
+                    .and_then(|f| f.set_len(start + 5))
+                    .expect("cut");
+            }
+            "trailing" => {
+                let mut file = std::fs::read(&path).expect("read");
+                file.extend_from_slice(&[0xab; 7]);
+                std::fs::write(&path, file).expect("append junk");
+            }
+            _ => {
+                // 10 of the 16 header bytes: magic plus two LSN bytes.
+                let header = [&SEGMENT_MAGIC[..], &[0; 2]].concat();
+                std::fs::write(dir.join(segment_name(scan.next_lsn)), header).expect("header");
+            }
+        }
+        let mut store = ModelStore::open(&dir, config()).expect("recover");
+        assert!(store.recovery().torn_tail.is_some(), "{damage}");
+        assert_eq!(store.recovery().truncated_bytes, bytes, "{damage}");
+        assert_eq!(store.last_lsn(), last_lsn, "{damage}");
+        assert_eq!(
+            store.observe(feedback(99)).expect("append"),
+            last_lsn + 1,
+            "{damage}"
+        );
+        drop(store);
+        let store = ModelStore::open(&dir, config()).expect("reopen");
+        assert!(store.recovery().torn_tail.is_none(), "{damage}");
+        assert_eq!(store.last_lsn(), last_lsn + 1, "{damage}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

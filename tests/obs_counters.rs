@@ -1,5 +1,5 @@
 //! Observability under concurrency: counter atomicity across threads, plus
-//! the NullSink overhead measurement.
+//! the no-sink overhead measurement.
 //!
 //! These tests live in their own integration binary because they toggle
 //! the process-global obs state (`enable_stats`, registries); a file-local
@@ -56,7 +56,7 @@ fn counter_bumps_are_atomic_under_forced_parallelism() {
     selearn_obs::reset();
 }
 
-/// NullSink overhead measurement on a 400-query QuadHist fit (`fixture_train`):
+/// No-sink overhead measurement on a 400-query QuadHist fit (`fixture_train`):
 /// with no sink installed, stats-on training must stay within the
 /// 5% budget of stats-off training (DESIGN.md "Overhead budget"). Ignored
 /// by default — it is a wall-clock measurement; CI runs it with
@@ -95,7 +95,7 @@ fn nullsink_overhead_within_budget() {
     println!("stats off {off:.1} ms, stats on {on:.1} ms, ratio {ratio:.3}");
     assert!(
         ratio < 1.05,
-        "NullSink overhead {:.1}% exceeds the 5% budget ({off:.1} ms -> {on:.1} ms)",
+        "No-sink overhead {:.1}% exceeds the 5% budget ({off:.1} ms -> {on:.1} ms)",
         (ratio - 1.0) * 100.0
     );
 }
