@@ -3,8 +3,10 @@
 //! The binary `experiments` (`cargo run -p selearn-bench --release --bin
 //! experiments -- <id>|all [--quick]`) regenerates each artifact as a CSV
 //! under `results/` plus a rendered text table on stdout; EXPERIMENTS.md
-//! records paper-vs-measured shapes. Criterion benches under `benches/`
-//! cover the timing-sensitive micro-operations.
+//! records paper-vs-measured shapes, and timing columns (`train_wall_ms`,
+//! `predict_wall_ms`) ride in the same rows. The binary `perf-suite`
+//! times frozen inference, restore, live serving and the WAL into one
+//! versioned `BENCH_<n>.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

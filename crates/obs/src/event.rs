@@ -105,20 +105,6 @@ pub enum Event {
         /// Message text.
         message: String,
     },
-    /// One stage of a sampled request trace: every event sharing a
-    /// `trace_id` belongs to the same end-to-end request, so one slow
-    /// request can be reconstructed across layers from the JSONL.
-    Trace {
-        /// Request-scoped id minted at the connection reader.
-        trace_id: u64,
-        /// Pipeline stage (`recv`, `dequeue`, `cache_hit`, `estimate`,
-        /// `wal_append`, `respond`, …).
-        stage: String,
-        /// Microseconds since the request was received.
-        us: f64,
-        /// Stage-specific detail (model name, degrade reason, LSN, …).
-        note: String,
-    },
 }
 
 impl Event {
@@ -133,7 +119,6 @@ impl Event {
             Event::SolverReport { .. } => "solver-report",
             Event::MetricsSummary { .. } => "metrics-summary",
             Event::Log { .. } => "log",
-            Event::Trace { .. } => "trace",
         }
     }
 
@@ -263,21 +248,6 @@ impl Event {
                 s.push_str(",\"message\":");
                 escape_into(&mut s, message);
             }
-            Event::Trace {
-                trace_id,
-                stage,
-                us,
-                note,
-            } => {
-                s.push_str(",\"trace_id\":");
-                s.push_str(&trace_id.to_string());
-                s.push_str(",\"stage\":");
-                escape_into(&mut s, stage);
-                s.push_str(",\"us\":");
-                fmt_f64_into(&mut s, *us);
-                s.push_str(",\"note\":");
-                escape_into(&mut s, note);
-            }
         }
         s.push('}');
         s
@@ -342,12 +312,6 @@ mod tests {
                 level: "info",
                 message: "quoted \"text\" and\nnewline".into(),
             },
-            Event::Trace {
-                trace_id: 4096,
-                stage: "estimate".into(),
-                us: 42.5,
-                note: "model=default run=8".into(),
-            },
         ];
         let mut kinds = std::collections::BTreeSet::new();
         for e in &events {
@@ -355,7 +319,7 @@ mod tests {
             assert!(matches!(parse(&js), Ok(Json::Obj(_))), "invalid JSON: {js}");
             kinds.insert(e.kind());
         }
-        assert_eq!(kinds.len(), 9, "nine distinct event kinds");
+        assert_eq!(kinds.len(), 8, "eight distinct event kinds");
     }
 
     #[test]

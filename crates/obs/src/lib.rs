@@ -179,22 +179,6 @@ pub fn flush_aggregates() {
     }
 }
 
-/// Emits one [`Event::Trace`] stage for a sampled request, folding the
-/// stage latency into the shared aggregation gate. No-op without a sink:
-/// tracing is a debugging instrument, so there is nothing to aggregate
-/// when nobody is listening.
-pub fn trace_stage(trace_id: u64, stage: &str, us: f64, note: &str) {
-    if !sink_installed() {
-        return;
-    }
-    emit(&Event::Trace {
-        trace_id,
-        stage: stage.to_string(),
-        us,
-        note: note.to_string(),
-    });
-}
-
 /// Clears every aggregate registry (counters, gauges, histograms, timing
 /// tree). Used between experiments and by tests.
 pub fn reset() {

@@ -37,7 +37,7 @@ const USAGE: &str = "usage: selearn-serve (--model FILE | --synthetic DIM) \
 [--addr HOST:PORT] [--admin-addr HOST:PORT] [--workers N] [--queue N] \
 [--cache-capacity N] [--deadline-ms N] [--run-secs N] [--stats] \
 [--synthetic-tenants N] [--tenant-rps X] [--tenant-burst X] \
-[--trace-out FILE] [--trace-sample-rate N] [--store-dir DIR] \
+[--trace-out FILE] [--store-dir DIR] \
 [--checkpoint-every N] [--rollback GEN] [--drift-threshold X] \
 [--drift-windows K] [--drift-window-size N]";
 
@@ -57,7 +57,6 @@ fn main() {
     let tenant_burst = args.num::<f64>("--tenant-burst");
     let stats = args.flag("--stats");
     let trace_out = args.value("--trace-out");
-    let trace_sample_rate = args.num::<u64>("--trace-sample-rate");
     let store_dir = args.value("--store-dir");
     let checkpoint_every = args.num::<u64>("--checkpoint-every");
     let rollback = args.num::<u64>("--rollback");
@@ -134,9 +133,6 @@ fn main() {
     }
     if let Some(ms) = deadline_ms {
         config.deadline = std::time::Duration::from_millis(ms);
-    }
-    if let Some(every) = trace_sample_rate {
-        config.trace_sample_every = every;
     }
     if let Some(rps) = tenant_rps {
         config.tenant_quota_rps = rps;

@@ -41,11 +41,10 @@
 //! and misses, …) live once, in each server's [`ServeStats`] and
 //! [`EstimateCache`]; `/stats` and `/metrics` read them there. The
 //! process-wide `selearn-obs` registries carry the rest: `serve.qps` /
-//! `serve.queue_depth` gauges, the `serve.latency_us` histogram, and the
-//! per-tenant, model-swap, feedback and drift counters.
-//! With `trace_sample_every` set and a sink installed, every Nth request
-//! additionally emits end-to-end `trace` events (recv → dequeue →
-//! cache/estimate/wal_append → respond) sharing one trace id.
+//! `serve.queue_depth` gauges, the `serve.latency_us` and
+//! `serve.stage_us{stage="queue_wait|cache_hit|estimate|wal_append"}`
+//! histograms (µs from receipt to answer, and to each stage a request
+//! reaches), and the per-tenant, model-swap, feedback and drift counters.
 
 // `deny` (not `forbid`) so the one scoped `#[allow(unsafe_code)]` in
 // `poller::sys` — the crate's single `poll(2)` declaration — can exist;

@@ -53,6 +53,13 @@
 //! model/cache answers. `/stats`, `/metrics` and the exit summary all read
 //! these. Per-tenant request and quota-shed counters ride on labeled obs
 //! series (`serve.tenant_requests{tenant="…"}`).
+//!
+//! Every serving timing is recorded once, in an obs histogram and only
+//! while obs stats are on: `serve.latency_us` when a line is answered,
+//! and `serve.stage_us{stage="…"}` when a job is dequeued (`queue_wait`),
+//! answered from the cache (`cache_hit`) or by its model (`estimate`), or
+//! its feedback is durably appended (`wal_append`). Every sample is µs
+//! since the line was received.
 
 use crate::admin::{self, AdminView};
 use crate::cache::{CacheKey, EstimateCache};
@@ -97,10 +104,6 @@ pub struct ServerConfig {
     pub tenant_quota_rps: f64,
     /// Token-bucket burst for the default tenant quota.
     pub tenant_quota_burst: f64,
-    /// Trace every Nth request end-to-end when a sink is installed
-    /// (0 disables sampling). Sampled requests emit `trace` events at
-    /// each pipeline stage, all sharing one trace id.
-    pub trace_sample_every: u64,
     /// Bind address of the HTTP admin plane (`/metrics`, `/healthz`,
     /// `/readyz`, `/stats`), served by the same poller; `None` serves
     /// none.
@@ -117,7 +120,6 @@ impl Default for ServerConfig {
             deadline: Duration::from_millis(100),
             tenant_quota_rps: 0.0,
             tenant_quota_burst: 64.0,
-            trace_sample_every: 0,
             admin_addr: None,
         }
     }
@@ -141,8 +143,6 @@ pub struct ServeStats {
     rect_requests: AtomicU64,
     halfspace_requests: AtomicU64,
     ball_requests: AtomicU64,
-    /// Request-arrival sequence, the trace-sampling clock (not a stat).
-    request_seq: AtomicU64,
 }
 
 macro_rules! stat_getters {
@@ -327,8 +327,6 @@ struct Job {
     slot: Arc<ModelSlot>,
     writer: Arc<ConnWriter>,
     received: Instant,
-    /// `Some` when this request was sampled for end-to-end tracing.
-    trace_id: Option<u64>,
 }
 
 enum JobKind {
@@ -365,6 +363,12 @@ const POLL_TICK_MS: i32 = 250;
 /// clients before giving up on them.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(3);
 
+// The `serve.stage_us` series, one per stage a job reaches (module docs).
+const STAGE_QUEUE_WAIT: &str = "serve.stage_us{stage=\"queue_wait\"}";
+const STAGE_CACHE_HIT: &str = "serve.stage_us{stage=\"cache_hit\"}";
+const STAGE_ESTIMATE: &str = "serve.stage_us{stage=\"estimate\"}";
+const STAGE_WAL_APPEND: &str = "serve.stage_us{stage=\"wal_append\"}";
+
 /// Outcome of the prepare pass for one job.
 enum Prepared {
     /// Answerable without evaluating a model: validation error, degraded
@@ -377,7 +381,6 @@ enum Prepared {
         cache_key: Option<CacheKey>,
         tenant: u32,
         lane: usize,
-        trace_id: Option<u64>,
     },
 }
 
@@ -396,7 +399,6 @@ struct PollerShared {
     sink: Option<Arc<dyn FeedbackSink>>,
     waker: Arc<Waker>,
     open_connections: Arc<AtomicUsize>,
-    config: ServerConfig,
 }
 
 /// One live connection as the poller sees it: the read half, the shared
@@ -567,7 +569,6 @@ pub fn start_with_feedback(
             sink,
             waker: Arc::clone(&waker),
             open_connections: Arc::clone(&open_connections),
-            config: config.clone(),
         };
         std::thread::spawn(move || poller_loop(wake_rx, &shared))
     };
@@ -821,7 +822,6 @@ fn answer_admin(c: &mut Conn, sh: &PollerShared) {
 /// inline (errors, quota, shed) without ever blocking the event loop.
 fn admit_line(line: Vec<u8>, writer: &Arc<ConnWriter>, sh: &PollerShared) {
     let received = Instant::now();
-    let trace_id = mint_trace(&sh.stats, &sh.config);
     let line = match String::from_utf8(line) {
         Ok(s) => s,
         Err(_) => {
@@ -857,12 +857,10 @@ fn admit_line(line: Vec<u8>, writer: &Arc<ConnWriter>, sh: &PollerShared) {
                 "tenant over quota: feedback not recorded, retry".into(),
             ),
             RequestLine::Estimate(req) => {
-                trace_job(trace_id, "degraded", received, "quota");
                 degraded_response(&req, slot.root(), DegradeReason::Quota, received)
             }
         };
         respond(writer, &sh.stats, &response, received);
-        trace_job(trace_id, "respond", received, "");
         return;
     }
     let job = Job {
@@ -873,35 +871,9 @@ fn admit_line(line: Vec<u8>, writer: &Arc<ConnWriter>, sh: &PollerShared) {
         slot,
         writer: Arc::clone(writer),
         received,
-        trace_id,
     };
     if let Err(job) = sh.queue.try_push(job) {
         shed(job, &sh.stats);
-    }
-}
-
-/// Samples the arrival sequence: every `trace_sample_every`-th request
-/// gets a trace id (its 1-based sequence number) and a `recv` stage
-/// event. Without a sink there is nobody to receive the spans, so the
-/// sequence still ticks but nothing is sampled.
-fn mint_trace(stats: &ServeStats, config: &ServerConfig) -> Option<u64> {
-    if config.trace_sample_every == 0 || !selearn_obs::sink_installed() {
-        return None;
-    }
-    let seq = stats.request_seq.fetch_add(1, Ordering::Relaxed);
-    if !seq.is_multiple_of(config.trace_sample_every) {
-        return None;
-    }
-    let trace_id = seq + 1;
-    selearn_obs::trace_stage(trace_id, "recv", 0.0, "");
-    Some(trace_id)
-}
-
-/// Emits one stage event for a sampled job; `us` is time since receipt,
-/// so a trace's stages line up on one per-request clock.
-fn trace_job(trace_id: Option<u64>, stage: &str, received: Instant, note: &str) {
-    if let Some(id) = trace_id {
-        selearn_obs::trace_stage(id, stage, received.elapsed().as_secs_f64() * 1e6, note);
     }
 }
 
@@ -922,9 +894,7 @@ fn shed(job: Job, stats: &ServeStats) {
             degraded_response(req, job.slot.root(), DegradeReason::Shed, job.received)
         }
     };
-    trace_job(job.trace_id, "degraded", job.received, "shed");
     respond(&job.writer, stats, &response, job.received);
-    trace_job(job.trace_id, "respond", job.received, "");
 }
 
 /// The batched worker hot loop: drain up to [`MAX_WORKER_BATCH`] jobs,
@@ -991,26 +961,25 @@ fn worker_loop(
                     cache_key,
                     tenant,
                     lane,
-                    trace_id,
                 } => {
                     let sel = sels[lane].clamp(0.0, 1.0);
                     if let Some(key) = cache_key {
                         cache.insert(tenant, &key, sel);
                     }
                     stats.model_answers.fetch_add(1, Ordering::Relaxed);
-                    trace_job(trace_id, "estimate", job.received, model.name());
+                    let us = micros_since(job.received);
+                    selearn_obs::histogram_record(STAGE_ESTIMATE, us);
                     Response::Estimate {
                         id,
                         est: model.name().to_string(),
                         sel,
-                        us: job.received.elapsed().as_secs_f64() * 1e6,
+                        us,
                         degraded: None,
                         cached: false,
                     }
                 }
             };
             respond(&job.writer, stats, &response, job.received);
-            trace_job(job.trace_id, "respond", job.received, "");
         }
     }
 }
@@ -1030,13 +999,12 @@ fn prepare_job(
     ranges: &mut Vec<Range>,
     scratch: &mut CacheKey,
 ) -> Prepared {
-    let _guard = selearn_obs::span!("serve.request");
-    trace_job(job.trace_id, "dequeue", job.received, "");
+    record_since(STAGE_QUEUE_WAIT, job.received);
     let slot = &job.slot;
     let req = match &job.kind {
         JobKind::Estimate(req) => req,
         JobKind::Feedback(fb) => {
-            return Prepared::Ready(ingest_feedback(fb, slot, stats, sink, job));
+            return Prepared::Ready(ingest_feedback(fb, slot, stats, sink, job.received));
         }
     };
     if req.shape.dim() != slot.root().dim() {
@@ -1063,7 +1031,6 @@ fn prepare_job(
     stats.count_shape(req.shape.kind());
     if config.deadline > Duration::ZERO && job.received.elapsed() > config.deadline {
         stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
-        trace_job(job.trace_id, "degraded", job.received, "deadline");
         return Prepared::Ready(degraded_response(
             req,
             slot.root(),
@@ -1085,12 +1052,13 @@ fn prepare_job(
         scratch.shape = req.shape.kind().discriminant();
         if let Some(sel) = cache.get(tenant, scratch) {
             stats.cache_answers.fetch_add(1, Ordering::Relaxed);
-            trace_job(job.trace_id, "cache_hit", job.received, &req.est);
+            let us = micros_since(job.received);
+            selearn_obs::histogram_record(STAGE_CACHE_HIT, us);
             return Prepared::Ready(Response::Estimate {
                 id: req.id,
                 est: model.name().to_string(),
                 sel,
-                us: job.received.elapsed().as_secs_f64() * 1e6,
+                us,
                 degraded: None,
                 cached: true,
             });
@@ -1108,7 +1076,6 @@ fn prepare_job(
         cache_key: key_ok.then(|| scratch.clone()),
         tenant,
         lane,
-        trace_id: job.trace_id,
     }
 }
 
@@ -1121,7 +1088,7 @@ fn ingest_feedback(
     slot: &ModelSlot,
     stats: &ServeStats,
     sink: Option<&Arc<dyn FeedbackSink>>,
-    job: &Job,
+    received: Instant,
 ) -> Response {
     let Some(sink) = sink else {
         return error_response(
@@ -1149,12 +1116,7 @@ fn ingest_feedback(
     match sink.observe(TrainingQuery::new(range, fb.sel)) {
         Ok(ack) => {
             stats.feedback_acks.fetch_add(1, Ordering::Relaxed);
-            trace_job(
-                job.trace_id,
-                "wal_append",
-                job.received,
-                &format!("lsn={}", ack.lsn),
-            );
+            record_since(STAGE_WAL_APPEND, received);
             Response::Ack {
                 id: fb.id,
                 lsn: ack.lsn,
@@ -1175,7 +1137,7 @@ fn degraded_response(
         id: req.id,
         est: req.est.clone(),
         sel: shape_fallback(root, &req.shape),
-        us: received.elapsed().as_secs_f64() * 1e6,
+        us: micros_since(received),
         degraded: Some(reason),
         cached: false,
     }
@@ -1260,8 +1222,19 @@ fn response_line(response: &Response) -> String {
 fn respond(writer: &ConnWriter, stats: &ServeStats, response: &Response, received: Instant) {
     stats.requests.fetch_add(1, Ordering::Relaxed);
     writer.send(response_line(response).as_bytes());
-    selearn_obs::histogram_record(
-        "serve.latency_us",
-        received.elapsed().as_secs_f64() * 1e6,
-    );
+    record_since("serve.latency_us", received);
+}
+
+/// Microseconds since `received`, the clock of every `us` answer field
+/// and every serve latency sample.
+fn micros_since(received: Instant) -> f64 {
+    received.elapsed().as_secs_f64() * 1e6
+}
+
+/// Records [`micros_since`] `received` into histogram `name`; reads no
+/// clock while obs stats are off.
+fn record_since(name: &str, received: Instant) {
+    if selearn_obs::enabled() {
+        selearn_obs::histogram_record(name, micros_since(received));
+    }
 }

@@ -18,10 +18,17 @@ use selearn_store::{ModelStore, StoreConfig};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+/// Runs the calling test alone among this binary's tests. A failed test
+/// poisons the lock; the next one still runs, so each failure is
+/// reported once.
+fn obs_lock() -> MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Server defaults plus an admin listener on a free port.
 fn with_admin() -> ServerConfig {
@@ -116,7 +123,7 @@ fn check_exposition(body: &str, series: &str) -> Option<f64> {
 
 #[test]
 fn concurrent_scrapes_stay_valid_during_1k_request_soak() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     selearn_obs::enable_stats(true);
 
     let (model, root) = synthetic_model(2, 200, 11).expect("synthetic fit");
@@ -202,7 +209,7 @@ fn concurrent_scrapes_stay_valid_during_1k_request_soak() {
 /// getter `/stats` reads.
 #[test]
 fn metrics_serving_families_equal_the_servers_own_counts() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     selearn_obs::enable_stats(false);
 
     let (model, root) = synthetic_mixed_model(2, 200, 11).expect("synthetic fit");
@@ -282,11 +289,111 @@ fn metrics_serving_families_equal_the_servers_own_counts() {
     handle.shutdown();
 }
 
+/// The `serve.stage_us` histograms count what the server counts: with obs
+/// stats on, after a quiesced load of fresh rects (misses), repeats
+/// (cache hits) and acked feedback lines, each stage's sample count
+/// equals the matching `ServeStats` getter. With stats off no stage
+/// sample is taken, so no stage family renders.
+#[test]
+fn stage_histograms_count_what_the_server_counts() {
+    let _g = obs_lock();
+    selearn_obs::reset();
+    selearn_obs::enable_stats(true);
+
+    let dir = std::env::temp_dir().join(format!("selearn-admin-stages-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store_config = StoreConfig::new(selearn_geom::Rect::unit(2));
+    store_config.refit_every = 1024;
+    store_config.quadhist.max_leaves = 16;
+    let store = ModelStore::open(&dir, store_config).expect("store");
+    let (model, root) = synthetic_model(2, 200, 11).expect("synthetic fit");
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register(DEFAULT_MODEL, Arc::new(model), root);
+    let durable = Arc::new(DurableFeedback::new(
+        store,
+        Arc::clone(&registry),
+        DEFAULT_MODEL,
+        0,
+    ));
+    let handle = start_with_feedback(
+        with_admin(),
+        registry,
+        Some(durable as Arc<dyn FeedbackSink>),
+    )
+    .expect("server");
+    let admin_addr = admin_addr(&handle);
+
+    // Rect `i` starts two cache cells (1/32) right of rect `i - 1`, so
+    // every first ask misses and every repeat hits.
+    let rect = |i: u64| {
+        let x = i as f64 / 32.0;
+        Request::rect(DEFAULT_MODEL, vec![x, 0.1], vec![x + 0.5, 0.6], Some(i))
+    };
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+    for i in 0..12 {
+        for _ in 0..3 {
+            let resp = client.call(&rect(i)).expect("estimate");
+            assert!(matches!(resp, Response::Estimate { .. }), "{resp:?}");
+        }
+    }
+    for i in 0..8 {
+        let fb = selearn_serve::Feedback::rect(
+            DEFAULT_MODEL,
+            vec![0.2, 0.2],
+            vec![0.5, 0.5],
+            0.1,
+            Some(i),
+        );
+        let resp = client.feedback(&fb).expect("feedback");
+        assert!(matches!(resp, Response::Ack { .. }), "{resp:?}");
+    }
+    // Every answer is in: the counts are quiescent from here on.
+
+    let (status, body) = http_get(&admin_addr, "/metrics");
+    assert_eq!(status, 200);
+    let s = handle.stats();
+    assert_eq!((s.requests(), s.errors()), (44, 0));
+    assert!(s.cache_answers() > 0 && s.model_answers() > 0, "{body}");
+    assert_eq!(s.feedback_acks(), 8);
+    // Every line here is admitted, so each one not shed is dequeued.
+    let dequeued = s.requests() - s.shed();
+    for (stage, count) in [
+        ("queue_wait", dequeued),
+        ("cache_hit", s.cache_answers()),
+        ("estimate", s.model_answers()),
+        ("wal_append", s.feedback_acks()),
+    ] {
+        let series = format!("serve_stage_us_count{{stage=\"{stage}\"}}");
+        assert_eq!(
+            check_exposition(&body, &series),
+            Some(count as f64),
+            "{series}\n{body}"
+        );
+    }
+    assert_eq!(body.matches("# TYPE serve_stage_us histogram\n").count(), 1);
+
+    selearn_obs::reset();
+    selearn_obs::enable_stats(false);
+    for resp in [
+        client.call(&rect(0)).expect("hit"),
+        client.call(&rect(15)).expect("miss"),
+    ] {
+        assert!(matches!(resp, Response::Estimate { .. }), "{resp:?}");
+    }
+    let (status, body) = http_get(&admin_addr, "/metrics");
+    assert_eq!(status, 200);
+    assert!(!body.contains("serve_stage_us"), "{body}");
+    assert!(!body.contains("serve_latency_us"), "{body}");
+
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Each server's `/metrics` reports its own requests, not a process-wide
 /// total.
 #[test]
 fn two_servers_in_one_process_report_their_own_requests() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     selearn_obs::enable_stats(false);
 
     let servers = [serve_synthetic_with_admin(), serve_synthetic_with_admin()];
@@ -342,7 +449,7 @@ fn decode_single_label(labels: &str, key: &str) -> Option<String> {
 /// well-formed per-tenant series whose label decodes back to the name.
 #[test]
 fn tenant_labels_are_escaped_in_the_exposition() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     selearn_obs::enable_stats(true);
 
     let name = "a\"b\\c.m";
@@ -380,7 +487,7 @@ fn tenant_labels_are_escaped_in_the_exposition() {
 
 #[test]
 fn readyz_flips_after_drift_alarm_and_recovers() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     selearn_obs::enable_stats(true);
 
     let dir = std::env::temp_dir().join(format!("selearn-admin-drift-{}", std::process::id()));
@@ -483,7 +590,7 @@ fn readyz_flips_after_drift_alarm_and_recovers() {
 
 #[test]
 fn http_answers_over_a_real_socket() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let handle = serve_synthetic_with_admin();
     let addr = admin_addr(&handle);
 
@@ -508,7 +615,7 @@ fn http_answers_over_a_real_socket() {
 /// 32 of them open leaves the process thread count where it was.
 #[test]
 fn idle_admin_connections_add_no_threads() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let handle = serve_synthetic_with_admin();
     let addr = admin_addr(&handle);
     let threads_baseline = live_threads();
@@ -535,7 +642,7 @@ fn idle_admin_connections_add_no_threads() {
 /// admin connections and the data port.
 #[test]
 fn stalled_head_is_answered_after_the_budget_without_blocking_others() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let handle = serve_synthetic_with_admin();
     let addr = admin_addr(&handle);
 
@@ -577,7 +684,7 @@ fn stalled_head_is_answered_after_the_budget_without_blocking_others() {
 /// its request line, and the connection is closed.
 #[test]
 fn over_cap_head_is_answered_and_closed() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let handle = serve_synthetic_with_admin();
     let addr = admin_addr(&handle);
 
@@ -597,7 +704,7 @@ fn over_cap_head_is_answered_and_closed() {
 
 #[test]
 fn admin_port_refuses_connections_after_shutdown() {
-    let _g = OBS_LOCK.lock().unwrap();
+    let _g = obs_lock();
     let handle = serve_synthetic_with_admin();
     let addr = admin_addr(&handle);
     assert_eq!(http_get(&addr, "/healthz").0, 200);

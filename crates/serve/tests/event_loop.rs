@@ -1,5 +1,6 @@
 //! Event-loop regression tests: thread-leak churn, idle-connection
-//! scaling, slow-reader backpressure, and per-tenant quota isolation.
+//! scaling, slow-reader backpressure, per-tenant quota isolation, and
+//! lines that are not UTF-8.
 //!
 //! These pin the properties the readiness poller was built for — a real
 //! server on a real localhost socket, with assertions against
@@ -11,10 +12,10 @@ use selearn_core::SelectivityEstimator;
 use selearn_geom::{Range, Rect};
 use selearn_serve::synth::synthetic_model;
 use selearn_serve::{
-    start, Client, DegradeReason, ModelRegistry, Request, Response, ServerConfig, ServerHandle,
-    DEFAULT_MODEL,
+    parse_response, start, Client, DegradeReason, ModelRegistry, Request, Response, ServerConfig,
+    ServerHandle, DEFAULT_MODEL,
 };
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -326,6 +327,83 @@ fn tenant_quota_isolation() {
             other => panic!("tenant b degraded by tenant a's quota: {other:?}"),
         }
     }
+
+    handle.shutdown();
+}
+
+/// Lines that are not UTF-8 each answer the typed error, count exactly
+/// one error, and leave the connection serving: an invalid lead byte
+/// pair, a lone continuation byte, and a 3-byte sequence cut short by
+/// the newline. A valid line whose multi-byte model name is split
+/// mid-character across two writes is reassembled and answered.
+#[test]
+fn invalid_utf8_lines_are_typed_errors_and_the_connection_keeps_serving() {
+    let _serial = serial();
+    let (model, root) = synthetic_model(2, 200, 11).expect("synthetic fit");
+    let model: selearn_core::SharedEstimator = Arc::new(model);
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register(DEFAULT_MODEL, Arc::clone(&model), root.clone());
+    registry.register("zürich", model, root);
+    let handle = start(ServerConfig::default(), registry).expect("server start");
+    let stats = Arc::clone(handle.stats());
+
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut recv = move || {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read response");
+        parse_response(line.trim_end()).expect("parse response")
+    };
+    let good =
+        format!("{{\"est\":\"{DEFAULT_MODEL}\",\"lo\":[0.1,0.2],\"hi\":[0.6,0.7],\"id\":7}}\n");
+
+    let bad_lines: [&[u8]; 3] = [b"\xff\xfe\n", b"\x80\n", b"\xe2\x82\n"];
+    for (i, bad) in bad_lines.iter().enumerate() {
+        stream.write_all(bad).expect("write bad line");
+        match recv() {
+            Response::Error { id: None, message } => {
+                assert_eq!(message, "request is not valid UTF-8", "line {bad:?}");
+            }
+            other => panic!("line {bad:?}: expected a UTF-8 error, got {other:?}"),
+        }
+        assert_eq!(stats.errors(), i as u64 + 1, "line {bad:?}");
+        stream.write_all(good.as_bytes()).expect("write good line");
+        let resp = recv();
+        assert!(
+            matches!(
+                resp,
+                Response::Estimate {
+                    id: Some(7),
+                    degraded: None,
+                    ..
+                }
+            ),
+            "after line {bad:?}: {resp:?}"
+        );
+        assert_eq!(stats.errors(), i as u64 + 1, "after line {bad:?}");
+    }
+
+    // "ü" is 0xc3 0xbc; the first write ends between the two bytes.
+    let split = "{\"est\":\"zürich\",\"lo\":[0.1,0.2],\"hi\":[0.6,0.7],\"id\":8}\n";
+    let split = split.as_bytes();
+    let cut = split.iter().position(|&b| b == 0xc3).expect("lead byte") + 1;
+    stream.write_all(&split[..cut]).expect("write first half");
+    std::thread::sleep(Duration::from_millis(50));
+    stream.write_all(&split[cut..]).expect("write second half");
+    let resp = recv();
+    assert!(
+        matches!(
+            resp,
+            Response::Estimate {
+                id: Some(8),
+                degraded: None,
+                ..
+            }
+        ),
+        "split multi-byte name: {resp:?}"
+    );
+    assert_eq!(stats.errors(), 3);
 
     handle.shutdown();
 }

@@ -6,7 +6,7 @@
 //! lock serializes them against each other.
 
 use selearn::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Obs state is process-global; tests in this file must not interleave.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
@@ -26,7 +26,7 @@ fn fixture_train() -> Vec<TrainingQuery> {
 /// histogram recording must never lose a sample.
 #[test]
 fn counter_bumps_are_atomic_under_forced_parallelism() {
-    let _g = TEST_LOCK.lock().unwrap();
+    let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     selearn_obs::reset();
     selearn_obs::enable_stats(true);
 
@@ -68,7 +68,7 @@ fn counter_bumps_are_atomic_under_forced_parallelism() {
 #[ignore = "timing measurement; run explicitly with --ignored --nocapture"]
 fn nullsink_overhead_within_budget() {
     use std::time::Instant;
-    let _g = TEST_LOCK.lock().unwrap();
+    let _g = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let train = fixture_train();
     let cfg = QuadHistConfig::with_tau(0.005);
 
