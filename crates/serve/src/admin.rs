@@ -145,7 +145,7 @@ impl AdminView<'_> {
     /// This server's serving counts under their exposition family names.
     /// They are the same numbers `/stats` reads, and they count whether or
     /// not obs stats are enabled.
-    fn counters(&self) -> [(&'static str, u64); 13] {
+    fn counters(&self) -> [(&'static str, u64); 14] {
         let s = self.stats;
         [
             ("serve.requests_total", s.requests()),
@@ -159,6 +159,7 @@ impl AdminView<'_> {
             ("serve.requests_rect", s.rect_requests()),
             ("serve.requests_halfspace", s.halfspace_requests()),
             ("serve.requests_ball", s.ball_requests()),
+            ("serve.write_calls", s.write_calls()),
             ("serve.cache_hits", self.cache.hits()),
             ("serve.cache_misses", self.cache.misses()),
         ]
@@ -197,7 +198,7 @@ impl AdminView<'_> {
         let s = self.stats;
         let (depth, capacity) = self.queue;
         let mut body = format!(
-            "{{\"requests\":{},\"model\":{},\"cached\":{},\"degraded\":{},\"shed\":{},\"deadline\":{},\"errors\":{},\"connections\":{},\"feedback\":{},\"cache_hits\":{},\"cache_misses\":{},\"queue\":{{\"depth\":{depth},\"capacity\":{capacity}}},\"uptime_secs\":{:.3},\"models\":[",
+            "{{\"requests\":{},\"model\":{},\"cached\":{},\"degraded\":{},\"shed\":{},\"deadline\":{},\"errors\":{},\"connections\":{},\"feedback\":{},\"write_calls\":{},\"cache_hits\":{},\"cache_misses\":{},\"queue\":{{\"depth\":{depth},\"capacity\":{capacity}}},\"uptime_secs\":{:.3},\"models\":[",
             s.requests(),
             s.model_answers(),
             s.cache_answers(),
@@ -207,6 +208,7 @@ impl AdminView<'_> {
             s.errors(),
             s.connections(),
             s.feedback_acks(),
+            s.write_calls(),
             self.cache.hits(),
             self.cache.misses(),
             selearn_obs::expo::uptime_seconds(),

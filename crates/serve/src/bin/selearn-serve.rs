@@ -268,13 +268,14 @@ fn main() {
             selearn_obs::flush_aggregates();
             selearn_obs::flush_sink();
             println!(
-                "{{\"requests\":{},\"model\":{},\"cached\":{},\"degraded\":{},\"errors\":{},\"feedback\":{},\"cache_hits\":{hits},\"cache_misses\":{misses}}}",
+                "{{\"requests\":{},\"model\":{},\"cached\":{},\"degraded\":{},\"errors\":{},\"feedback\":{},\"write_calls\":{},\"cache_hits\":{hits},\"cache_misses\":{misses}}}",
                 stats_snapshot.requests(),
                 stats_snapshot.model_answers(),
                 stats_snapshot.cache_answers(),
                 stats_snapshot.degraded(),
                 stats_snapshot.errors(),
                 stats_snapshot.feedback_acks(),
+                stats_snapshot.write_calls(),
             );
         }
         // Unbounded run: park forever (terminate with a signal).

@@ -373,7 +373,7 @@ mod tests {
     #[test]
     fn parse_response_variants() {
         let ok = parse_response(
-            r#"{"id":3,"est":"QuadHist","sel":0.25,"us":10.0,"degraded":false,"cached":true}"#,
+            r#"{"id":3,"est":"default","sel":0.25,"us":10.0,"degraded":false,"cached":true}"#,
         )
         .unwrap();
         assert!(matches!(

@@ -4,10 +4,11 @@
 //!
 //! ```text
 //! → {"est":"quadhist","lo":[0.1,0.2],"hi":[0.5,0.6],"id":7}
-//! ← {"id":7,"est":"QuadHist","sel":0.1234,"us":18.2,"degraded":false,"cached":false}
+//! ← {"id":7,"est":"quadhist","sel":0.1234,"us":18.2,"degraded":false,"cached":false}
 //! ```
 //!
-//! * `est` — registry name of the model to query (default `"default"`);
+//! * `est` — registry name of the model to query (default `"default"`),
+//!   echoed in the answer's `est` whichever path answered it;
 //! * `shape` — optional query family: `"rect"` (the default),
 //!   `"halfspace"`, or `"ball"`;
 //! * `lo` / `hi` — corners of the query box, one number per dimension
@@ -62,6 +63,7 @@
 
 use selearn_geom::{Ball, Halfspace, Point, Range, Rect};
 use selearn_obs::json::{escape_into, fmt_f64_into, parse, Json};
+use std::fmt::Write as _;
 
 /// Registry name used when a request omits `"est"`.
 pub const DEFAULT_MODEL: &str = "default";
@@ -441,8 +443,8 @@ pub enum Response {
     Estimate {
         /// Echoed request id.
         id: Option<u64>,
-        /// Model name answering (the estimator's `name()`, or the registry
-        /// name for degraded fallbacks).
+        /// The registry name the request addressed, echoed on every answer
+        /// (model, cache or degraded fallback; `degraded` marks the last).
         est: String,
         /// The selectivity estimate in `[0, 1]`.
         sel: f64,
@@ -476,6 +478,13 @@ impl Response {
     /// Renders the response as one protocol line (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`to_json`](Response::to_json)'s line to `out`, so a caller
+    /// that reuses `out` renders without allocating.
+    pub(crate) fn write_json(&self, out: &mut String) {
         match self {
             Response::Estimate {
                 id,
@@ -486,19 +495,19 @@ impl Response {
                 cached,
             } => {
                 out.push('{');
-                push_id(&mut out, *id);
+                push_id(out, *id);
                 out.push_str("\"est\":");
-                escape_into(&mut out, est);
+                escape_into(out, est);
                 out.push_str(",\"sel\":");
-                fmt_f64_into(&mut out, *sel);
+                fmt_f64_into(out, *sel);
                 out.push_str(",\"us\":");
-                fmt_f64_into(&mut out, *us);
+                fmt_f64_into(out, *us);
                 out.push_str(",\"degraded\":");
                 match degraded {
                     None => out.push_str("false"),
                     Some(reason) => {
                         out.push_str("true,\"reason\":");
-                        escape_into(&mut out, reason.as_str());
+                        escape_into(out, reason.as_str());
                     }
                 }
                 out.push_str(",\"cached\":");
@@ -511,24 +520,23 @@ impl Response {
                 generation,
             } => {
                 out.push('{');
-                push_id(&mut out, *id);
-                out.push_str(&format!("\"ack\":true,\"lsn\":{lsn},\"gen\":{generation}}}"));
+                push_id(out, *id);
+                let _ = write!(out, "\"ack\":true,\"lsn\":{lsn},\"gen\":{generation}}}");
             }
             Response::Error { id, message } => {
                 out.push('{');
-                push_id(&mut out, *id);
+                push_id(out, *id);
                 out.push_str("\"error\":");
-                escape_into(&mut out, message);
+                escape_into(out, message);
                 out.push('}');
             }
         }
-        out
     }
 }
 
 fn push_id(out: &mut String, id: Option<u64>) {
     if let Some(id) = id {
-        out.push_str(&format!("\"id\":{id},"));
+        let _ = write!(out, "\"id\":{id},");
     }
 }
 
@@ -724,7 +732,7 @@ mod tests {
     fn responses_render_valid_json() {
         let ok = Response::Estimate {
             id: Some(3),
-            est: "QuadHist".into(),
+            est: "default".into(),
             sel: 0.25,
             us: 17.5,
             degraded: None,

@@ -38,21 +38,28 @@
 //!   and reads the model with its generation ([`ModelSlot::get`]). The
 //!   *evaluate* pass groups consecutive same-model requests and answers
 //!   each run with one allocation-free `estimate_into` call.
-//! * **Responses** go through each connection's `ConnWriter`: a direct
-//!   nonblocking write when the socket has room, otherwise the remainder
-//!   lands in a bounded per-connection buffer and the poller re-arms the
-//!   socket with `POLLOUT` to finish the flush — a slow client can never
-//!   block a worker. A client whose buffer overflows 1 MiB is dropped and
-//!   counted ([`ServeStats::slow_client_drops`]), not allowed to wedge
-//!   the server.
+//! * **Responses** go through each connection's `ConnWriter`. A worker
+//!   renders its batch's answers into reused per-connection line buffers
+//!   (batch order kept) and hands each connection its lines with one
+//!   send: a direct nonblocking write when the socket has room, otherwise
+//!   the remainder lands in a bounded per-connection buffer and the
+//!   poller re-arms the socket with `POLLOUT` to finish the flush — a
+//!   slow client can never block a worker. A client whose buffer
+//!   overflows 1 MiB is dropped and counted
+//!   ([`ServeStats::slow_client_drops`]), not allowed to wedge the
+//!   server. Data sockets run with `TCP_NODELAY`: with one write per
+//!   connection per batch there is nothing left for Nagle to coalesce,
+//!   and an answer never waits on the client's delayed ACK.
 //!
 //! Every serving count is recorded once, in the server's [`ServeStats`]
 //! (and the cache's hit/miss counters): every response path counts a
 //! request, degraded paths additionally count their reason (shed,
 //! deadline, quota), so (requests − degraded − errors) always equals real
-//! model/cache answers. `/stats`, `/metrics` and the exit summary all read
-//! these. Per-tenant request and quota-shed counters ride on labeled obs
-//! series (`serve.tenant_requests{tenant="…"}`).
+//! model/cache answers. Every `write(2)` a data connection's writer makes
+//! is counted too ([`ServeStats::write_calls`]), so writes per answer is
+//! `write_calls / requests`. `/stats`, `/metrics` and the exit summary
+//! all read these. Per-tenant request and quota-shed counters ride on
+//! labeled obs series (`serve.tenant_requests{tenant="…"}`).
 //!
 //! Every serving timing is recorded once, in an obs histogram and only
 //! while obs stats are on: `serve.latency_us` when a line is answered,
@@ -143,6 +150,7 @@ pub struct ServeStats {
     rect_requests: AtomicU64,
     halfspace_requests: AtomicU64,
     ball_requests: AtomicU64,
+    write_calls: AtomicU64,
 }
 
 macro_rules! stat_getters {
@@ -179,6 +187,9 @@ impl ServeStats {
         halfspace_requests <- halfspace_requests;
         /// Ball estimate requests that reached a worker's prepare pass.
         ball_requests <- ball_requests;
+        /// `write(2)` calls made on data connections (direct sends and
+        /// `POLLOUT` flushes; admin answers are not counted).
+        write_calls <- write_calls;
     }
 
     /// All uniform-fallback answers, regardless of reason.
@@ -210,6 +221,9 @@ struct ConnWriter {
     doomed: AtomicBool,
     waker: Arc<Waker>,
     stats: Arc<ServeStats>,
+    /// A data-port connection: its writes count in
+    /// [`ServeStats::write_calls`].
+    data_port: bool,
 }
 
 struct WriteHalf {
@@ -221,7 +235,7 @@ struct WriteHalf {
 }
 
 impl ConnWriter {
-    fn new(stream: TcpStream, waker: Arc<Waker>, stats: Arc<ServeStats>) -> Self {
+    fn new(stream: TcpStream, waker: Arc<Waker>, stats: Arc<ServeStats>, data_port: bool) -> Self {
         Self {
             state: Mutex::new(WriteHalf {
                 stream,
@@ -232,7 +246,16 @@ impl ConnWriter {
             doomed: AtomicBool::new(false),
             waker,
             stats,
+            data_port,
         }
+    }
+
+    /// One `write(2)`, counted when this is a data connection.
+    fn write_once(&self, stream: &TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
+        if self.data_port {
+            self.stats.write_calls.fetch_add(1, Ordering::Relaxed);
+        }
+        (&*stream).write(bytes)
     }
 
     fn is_doomed(&self) -> bool {
@@ -259,7 +282,7 @@ impl ConnWriter {
         self.doom();
     }
 
-    /// Queues one response line: direct nonblocking write when the buffer
+    /// Queues response bytes: direct nonblocking write when the buffer
     /// is empty, spillover into `pending` (waking the poller to re-arm
     /// `POLLOUT`) when the socket is full. Never blocks the caller.
     fn send(&self, line: &[u8]) {
@@ -272,7 +295,7 @@ impl ConnWriter {
             s.sent = 0;
             let mut written = 0;
             while written < line.len() {
-                match (&s.stream).write(&line[written..]) {
+                match self.write_once(&s.stream, &line[written..]) {
                     Ok(0) => return self.doom(),
                     Ok(n) => written += n,
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -306,7 +329,7 @@ impl ConnWriter {
         let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         while s.sent < s.pending.len() {
             let sent = s.sent;
-            match (&s.stream).write(&s.pending[sent..]) {
+            match self.write_once(&s.stream, &s.pending[sent..]) {
                 Ok(0) => return self.doom(),
                 Ok(n) => s.sent += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
@@ -377,6 +400,8 @@ enum Prepared {
     /// Needs a model evaluation over the batch lane `ranges[lane]`.
     Eval {
         id: Option<u64>,
+        /// The registry name the request addressed, echoed in the answer.
+        est: String,
         model: SharedEstimator,
         cache_key: Option<CacheKey>,
         tenant: u32,
@@ -723,6 +748,12 @@ fn accept_ready(listener: &TcpListener, admin: bool, conns: &mut Vec<Conn>, sh: 
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
+                // Answers leave in one write per connection per worker
+                // batch, so Nagle has nothing to coalesce and would only
+                // hold each answer for the client's delayed ACK.
+                if !admin && stream.set_nodelay(true).is_err() {
+                    continue;
+                }
                 let write_half = match stream.try_clone() {
                     Ok(w) => w,
                     Err(_) => continue,
@@ -739,6 +770,7 @@ fn accept_ready(listener: &TcpListener, admin: bool, conns: &mut Vec<Conn>, sh: 
                         write_half,
                         Arc::clone(&sh.waker),
                         Arc::clone(&sh.stats),
+                        !admin,
                     )),
                     buf: Vec::new(),
                     read_closed: false,
@@ -900,10 +932,11 @@ fn shed(job: Job, stats: &ServeStats) {
 /// The batched worker hot loop: drain up to [`MAX_WORKER_BATCH`] jobs,
 /// prepare each (validate → deadline → cache → model handle), evaluate
 /// the survivors through `estimate_into` one same-model run at a time,
-/// then write every response. All batch buffers — including the borrowed
-/// cache-probe key — are reused across iterations, so the steady-state
-/// loop performs no per-request allocation for query, key, or
-/// selectivity storage.
+/// then write the responses with one send per connection. All batch
+/// buffers — including the borrowed cache-probe key and the response
+/// lines — are reused across iterations, so the steady-state loop
+/// performs no per-request allocation for query, key, selectivity or
+/// line storage.
 fn worker_loop(
     queue: &BoundedQueue<Job>,
     cache: &EstimateCache,
@@ -916,6 +949,7 @@ fn worker_loop(
     let mut ranges: Vec<Range> = Vec::with_capacity(MAX_WORKER_BATCH);
     let mut sels: Vec<f64> = Vec::with_capacity(MAX_WORKER_BATCH);
     let mut scratch = CacheKey::default();
+    let mut writes = BatchWrites::default();
     while queue.pop_batch(&mut jobs, MAX_WORKER_BATCH) {
         prepared.clear();
         ranges.clear();
@@ -952,15 +986,16 @@ fn worker_loop(
         if let Some((m, lo, hi)) = run {
             m.estimate_into(&ranges[lo..hi], &mut sels[lo..hi]);
         }
-        for (job, p) in jobs.iter().zip(prepared.drain(..)) {
+        for (i, (job, p)) in jobs.iter().zip(prepared.drain(..)).enumerate() {
             let response = match p {
                 Prepared::Ready(response) => response,
                 Prepared::Eval {
                     id,
-                    model,
+                    est,
                     cache_key,
                     tenant,
                     lane,
+                    ..
                 } => {
                     let sel = sels[lane].clamp(0.0, 1.0);
                     if let Some(key) = cache_key {
@@ -971,7 +1006,7 @@ fn worker_loop(
                     selearn_obs::histogram_record(STAGE_ESTIMATE, us);
                     Response::Estimate {
                         id,
-                        est: model.name().to_string(),
+                        est,
                         sel,
                         us,
                         degraded: None,
@@ -979,8 +1014,60 @@ fn worker_loop(
                     }
                 }
             };
-            respond(&job.writer, stats, &response, job.received);
+            // Counted before any answer goes out (see `respond`).
+            stats.requests.fetch_add(1, Ordering::Relaxed);
+            writes.push(&jobs, i, &response);
         }
+        writes.send(&jobs);
+        for job in &jobs {
+            record_since("serve.latency_us", job.received);
+        }
+    }
+}
+
+/// A worker's write pass: the batch's response lines gathered per
+/// connection, in batch order, so each connection gets one send per
+/// batch. Line buffers are kept across batches; connections are named
+/// by the index of their first job, so no writer outlives its batch here.
+#[derive(Default)]
+struct BatchWrites {
+    /// Index into the batch of each connection's first job.
+    conns: Vec<usize>,
+    /// `lines[g]` holds the lines for `conns[g]`; spare buffers stay.
+    lines: Vec<String>,
+}
+
+impl BatchWrites {
+    /// Appends `response`'s line to the buffer of job `i`'s connection.
+    fn push(&mut self, jobs: &[Job], i: usize, response: &Response) {
+        let writer = &jobs[i].writer;
+        let g = match self
+            .conns
+            .iter()
+            .position(|&c| Arc::ptr_eq(&jobs[c].writer, writer))
+        {
+            Some(g) => g,
+            None => {
+                self.conns.push(i);
+                if self.lines.len() < self.conns.len() {
+                    self.lines.push(String::new());
+                }
+                self.conns.len() - 1
+            }
+        };
+        let line = &mut self.lines[g];
+        response.write_json(line);
+        line.push('\n');
+    }
+
+    /// Hands each connection its lines with one send and empties the
+    /// buffers, keeping their capacity.
+    fn send(&mut self, jobs: &[Job]) {
+        for (&c, line) in self.conns.iter().zip(&mut self.lines) {
+            jobs[c].writer.send(line.as_bytes());
+            line.clear();
+        }
+        self.conns.clear();
     }
 }
 
@@ -1056,7 +1143,7 @@ fn prepare_job(
             selearn_obs::histogram_record(STAGE_CACHE_HIT, us);
             return Prepared::Ready(Response::Estimate {
                 id: req.id,
-                est: model.name().to_string(),
+                est: req.est.clone(),
                 sel,
                 us,
                 degraded: None,
@@ -1072,6 +1159,7 @@ fn prepare_job(
     ranges.push(range);
     Prepared::Eval {
         id: req.id,
+        est: req.est.clone(),
         model,
         cache_key: key_ok.then(|| scratch.clone()),
         tenant,

@@ -259,6 +259,8 @@ fn metrics_serving_families_equal_the_servers_own_counts() {
     assert_eq!((s.quota_shed(), s.errors()), (2, 2));
     assert!(s.rect_requests() > 0 && s.halfspace_requests() > 0 && s.ball_requests() > 0);
     assert!(cache.hits() > 0 && cache.misses() > 0);
+    // Admin answers are not data-port writes; batched answers share one.
+    assert!(s.write_calls() > 0 && s.write_calls() <= s.requests());
     for (family, count) in [
         ("serve_requests_total", s.requests()),
         ("serve_requests_shed", s.shed()),
@@ -271,6 +273,7 @@ fn metrics_serving_families_equal_the_servers_own_counts() {
         ("serve_requests_rect", s.rect_requests()),
         ("serve_requests_halfspace", s.halfspace_requests()),
         ("serve_requests_ball", s.ball_requests()),
+        ("serve_write_calls", s.write_calls()),
         ("serve_cache_hits", cache.hits()),
         ("serve_cache_misses", cache.misses()),
     ] {

@@ -1,6 +1,7 @@
 //! Event-loop regression tests: thread-leak churn, idle-connection
-//! scaling, slow-reader backpressure, per-tenant quota isolation, and
-//! lines that are not UTF-8.
+//! scaling, slow-reader backpressure, per-tenant quota isolation, lines
+//! that are not UTF-8, feedback bursts against the client's delayed ACK,
+//! and the model name every answer echoes.
 //!
 //! These pin the properties the readiness poller was built for — a real
 //! server on a real localhost socket, with assertions against
@@ -8,13 +9,14 @@
 //! process-wide, so the tests in this binary serialize on one lock: a
 //! server another test starts or stops mid-count would skew them.
 
-use selearn_core::SelectivityEstimator;
+use selearn_core::{SelearnError, SelectivityEstimator, TrainingQuery};
 use selearn_geom::{Range, Rect};
 use selearn_serve::synth::synthetic_model;
 use selearn_serve::{
-    parse_response, start, Client, DegradeReason, ModelRegistry, Request, Response, ServerConfig,
-    ServerHandle, DEFAULT_MODEL,
+    parse_response, start, start_with_feedback, Client, DegradeReason, FeedbackAck, FeedbackSink,
+    ModelRegistry, Request, Response, ServerConfig, ServerHandle, DEFAULT_MODEL,
 };
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -404,6 +406,125 @@ fn invalid_utf8_lines_are_typed_errors_and_the_connection_keeps_serving() {
         "split multi-byte name: {resp:?}"
     );
     assert_eq!(stats.errors(), 3);
+
+    handle.shutdown();
+}
+
+/// A feedback sink that acks at once with the next LSN: no log, no
+/// fsync, so a round trip is the server's own read and write path.
+struct InstantAck(Mutex<u64>);
+
+impl FeedbackSink for InstantAck {
+    fn observe(&self, _feedback: TrainingQuery) -> Result<FeedbackAck, SelearnError> {
+        let mut lsn = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        *lsn += 1;
+        Ok(FeedbackAck {
+            lsn: *lsn,
+            generation: 0,
+            swapped: false,
+        })
+    }
+}
+
+/// The delayed-ACK regression. A client with default socket settings
+/// writes 10 bursts of 16 feedback lines, each burst in one `write`, and
+/// waits for its 16 acks. A server that sends one burst's acks in more
+/// than one segment with Nagle on holds every segment after the first
+/// until the client's delayed ACK (≈40 ms on Linux), so the round trip
+/// reads 40+ ms; batched writes with `TCP_NODELAY` answer in well under
+/// a millisecond of work.
+#[test]
+fn feedback_bursts_are_acked_without_waiting_for_the_delayed_ack() {
+    let _serial = serial();
+    let (model, root) = synthetic_model(2, 200, 11).expect("synthetic fit");
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register(DEFAULT_MODEL, Arc::new(model), root);
+    let sink: Arc<dyn FeedbackSink> = Arc::new(InstantAck(Mutex::new(0)));
+    let handle =
+        start_with_feedback(ServerConfig::default(), registry, Some(sink)).expect("server start");
+
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let (bursts, per_burst) = (10u64, 16u64);
+    let mut lsns = Vec::new();
+    let mut round_trips = Vec::new();
+    for burst in 0..bursts {
+        let mut lines = String::new();
+        for i in 0..per_burst {
+            let id = burst * per_burst + i;
+            let _ = writeln!(
+                lines,
+                "{{\"lo\":[0.1,0.2],\"hi\":[0.5,0.6],\"sel\":0.2,\"id\":{id}}}"
+            );
+        }
+        let t0 = Instant::now();
+        stream.write_all(lines.as_bytes()).expect("write burst");
+        for _ in 0..per_burst {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read ack");
+            match parse_response(line.trim_end()) {
+                Ok(Response::Ack { lsn, .. }) => lsns.push(lsn),
+                other => panic!("burst {burst}: expected an ack, got {other:?}"),
+            }
+        }
+        round_trips.push(t0.elapsed());
+    }
+    lsns.sort_unstable();
+    assert_eq!(
+        lsns,
+        (1..=bursts * per_burst).collect::<Vec<_>>(),
+        "acks lost or LSNs not gapless"
+    );
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median burst round trip {median:?} (all: {round_trips:?})"
+    );
+
+    handle.shutdown();
+}
+
+/// Every estimate answer echoes the registry name the request addressed,
+/// whichever path answered it: the model, the cache, or the quota
+/// fallback. (The estimator's own type name is the same for every model
+/// of its kind and would not say which one answered.)
+#[test]
+fn every_estimate_answer_echoes_the_addressed_model_name() {
+    let _serial = serial();
+    let (model, root) = synthetic_model(2, 200, 11).expect("synthetic fit");
+    let type_name = model.name();
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register("t.m", Arc::new(model), root);
+    // Tenant `t` admits two requests, then sheds with reason "quota".
+    assert!(registry.set_quota("t", Some((1e-6, 2.0))));
+    let handle = start(ServerConfig::default(), registry).expect("server start");
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+
+    let req = Request::rect("t.m", vec![0.1, 0.2], vec![0.6, 0.7], Some(1));
+    let mut answers = Vec::new();
+    for _ in 0..3 {
+        match client.call(&req).expect("call") {
+            Response::Estimate {
+                est,
+                degraded,
+                cached,
+                ..
+            } => answers.push((est, degraded, cached)),
+            other => panic!("expected an estimate, got {other:?}"),
+        }
+    }
+    let name = "t.m".to_string();
+    assert_eq!(
+        answers,
+        vec![
+            (name.clone(), None, false),
+            (name.clone(), None, true),
+            (name, Some(DegradeReason::Quota), false),
+        ],
+        "model answer, cache hit, quota fallback"
+    );
+    assert_ne!(type_name, "t.m");
 
     handle.shutdown();
 }

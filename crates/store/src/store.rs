@@ -31,7 +31,7 @@ use crate::checkpoint::{
 };
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{
-    repair_torn_tail, scan_wal, truncate_after_lsn, WalWriter, SEGMENT_HEADER_LEN,
+    repair_torn_tail, scan_wal, truncate_after_lsn, WalScan, WalWriter, SEGMENT_HEADER_LEN,
 };
 
 /// Checkpoint generations kept on disk for rollback.
@@ -141,7 +141,8 @@ impl ModelStore {
 
         let mut report = RecoveryReport::default();
         let mut base = None;
-        for generation in list_checkpoints(vfs.as_ref(), dir)?.into_iter().rev() {
+        let on_disk = list_checkpoints(vfs.as_ref(), dir)?;
+        for &generation in on_disk.iter().rev() {
             match load_checkpoint(vfs.as_ref(), dir, &config, fingerprint, generation) {
                 Ok((lsn, model)) => {
                     base = Some((generation, lsn, model));
@@ -175,6 +176,7 @@ impl ModelStore {
         }
 
         report.generation = base.as_ref().map_or(0, |&(generation, _, _)| generation);
+        let loaded = base.as_ref().map(|&(generation, lsn, _)| (generation, lsn));
         let mut model = match base {
             Some((_, _, model)) => model,
             None => OnlineQuadHist::new(
@@ -219,7 +221,7 @@ impl ModelStore {
         counter_add("store.skipped_checkpoints", report.skipped_checkpoints);
         gauge_set("store.generation", report.generation as f64);
 
-        let mut store = Self {
+        let store = Self {
             vfs,
             dir: dir.to_path_buf(),
             config,
@@ -231,7 +233,9 @@ impl ModelStore {
             last_refit_error,
             recovery: report,
         };
-        store.prune()?;
+        // The repaired scan describes the log on disk, and nothing above
+        // touched a checkpoint file: prune from what recovery already read.
+        store.prune(&on_disk, loaded, Some(&scan))?;
         Ok(store)
     }
 
@@ -279,7 +283,9 @@ impl ModelStore {
         self.last_checkpoint_lsn = lsn;
         counter_add("store.checkpoints", 1);
         gauge_set("store.generation", generation as f64);
-        self.prune()?;
+        let mut gens = on_disk;
+        gens.push(generation);
+        self.prune(&gens, None, None)?;
         Ok(generation)
     }
 
@@ -333,11 +339,18 @@ impl ModelStore {
     }
 
     /// Deletes checkpoints beyond the retention window and WAL segments
-    /// no retained generation could ever need for replay.
-    fn prune(&mut self) -> Result<(), SelearnError> {
-        let gens = self.generations()?;
-        if gens.len() > RETAIN_GENERATIONS {
-            let cut = gens.len() - RETAIN_GENERATIONS;
+    /// no retained generation could ever need for replay. `gens` lists
+    /// the checkpoints on disk, ascending; `known` is a `(generation,
+    /// lsn)` recovery has just read and restored, so it need not be read
+    /// again; `scan` describes the log on disk, or `None` to scan it here.
+    fn prune(
+        &self,
+        gens: &[u64],
+        known: Option<(u64, u64)>,
+        scan: Option<&WalScan>,
+    ) -> Result<(), SelearnError> {
+        let cut = gens.len().saturating_sub(RETAIN_GENERATIONS);
+        if cut > 0 {
             for &g in &gens[..cut] {
                 self.vfs.remove_file(&self.dir.join(checkpoint_name(g)))?;
             }
@@ -346,15 +359,24 @@ impl ModelStore {
         // The oldest retained checkpoint anchors replay: records at or
         // before its LSN are dead. A segment may go only when the *next*
         // segment already covers everything past that anchor.
-        let gens = self.generations()?;
-        let Some(&oldest) = gens.first() else {
+        let Some(&oldest) = gens.get(cut) else {
             return Ok(());
         };
-        let anchor = match read_checkpoint(self.vfs.as_ref(), &self.dir, oldest, self.fingerprint) {
-            Ok(data) => data.lsn,
-            Err(_) => return Ok(()), // recovery will sort it out; never prune blind
+        let anchor = match known {
+            Some((generation, lsn)) if generation == oldest => lsn,
+            _ => match read_checkpoint(self.vfs.as_ref(), &self.dir, oldest, self.fingerprint) {
+                Ok(data) => data.lsn,
+                Err(_) => return Ok(()), // recovery will sort it out; never prune blind
+            },
         };
-        let scan = scan_wal(self.vfs.as_ref(), &self.dir)?;
+        let fresh;
+        let scan = match scan {
+            Some(scan) => scan,
+            None => {
+                fresh = scan_wal(self.vfs.as_ref(), &self.dir)?;
+                &fresh
+            }
+        };
         for pair in scan.segments.windows(2) {
             if pair[1].first_lsn <= anchor + 1 {
                 self.vfs.remove_file(&self.dir.join(&pair[0].name))?;
@@ -567,6 +589,152 @@ mod tests {
         assert_eq!(store.generation(), 6);
         assert_eq!(store.last_lsn(), 120);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The retention rule as a standalone pass that reads everything it
+    /// needs back from disk: the oracle `prune` must agree with.
+    fn prune_by_rereading(dir: &Path, config: &StoreConfig) {
+        let fingerprint = config_fingerprint(
+            &config.root,
+            &config.quadhist,
+            config.refit_every,
+            config.history_cap,
+        );
+        let gens = list_checkpoints(&StdVfs, dir).unwrap();
+        let cut = gens.len().saturating_sub(RETAIN_GENERATIONS);
+        for &g in &gens[..cut] {
+            std::fs::remove_file(dir.join(checkpoint_name(g))).unwrap();
+        }
+        let gens = list_checkpoints(&StdVfs, dir).unwrap();
+        let Some(&oldest) = gens.first() else {
+            return;
+        };
+        let Ok(data) = read_checkpoint(&StdVfs, dir, oldest, fingerprint) else {
+            return;
+        };
+        let scan = scan_wal(&StdVfs, dir).unwrap();
+        for pair in scan.segments.windows(2) {
+            if pair[1].first_lsn > data.lsn + 1 {
+                break;
+            }
+            std::fs::remove_file(dir.join(&pair[0].name)).unwrap();
+        }
+    }
+
+    /// File names and lengths in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<(String, u64)> {
+        let mut files: Vec<(String, u64)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (
+                    e.file_name().into_string().unwrap(),
+                    e.metadata().unwrap().len(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Copies every file of `from` into `to`, overwriting.
+    fn copy_files(from: &Path, to: &Path) {
+        std::fs::create_dir_all(to).unwrap();
+        for e in std::fs::read_dir(from).unwrap() {
+            let e = e.unwrap();
+            std::fs::copy(e.path(), to.join(e.file_name())).unwrap();
+        }
+    }
+
+    /// Every file a store ever held, at its last length: what a store
+    /// directory looks like when no prune ran after each checkpoint (a
+    /// crash between a checkpoint's rename and its prune, repeated).
+    fn unpruned_image(tag: &str, rounds: usize, per_round: usize, tail: usize) -> PathBuf {
+        let live = tmp_dir(&format!("{tag}-live"));
+        let image = tmp_dir(&format!("{tag}-image"));
+        let mut store = ModelStore::open(&live, small_config()).unwrap();
+        let mut i = 0;
+        for _ in 0..rounds {
+            for _ in 0..per_round {
+                store.observe(feedback(i)).unwrap();
+                i += 1;
+                copy_files(&live, &image);
+            }
+            store.checkpoint().unwrap();
+            copy_files(&live, &image);
+        }
+        for _ in 0..tail {
+            store.observe(feedback(i)).unwrap();
+            i += 1;
+        }
+        copy_files(&live, &image);
+        drop(store);
+        let _ = std::fs::remove_dir_all(&live);
+        image
+    }
+
+    #[test]
+    fn open_prunes_the_files_the_rereading_rule_prunes() {
+        // Five generations (two beyond retention) and one generation, each
+        // over many 512-byte segments.
+        for (tag, rounds) in [("prune-open5", 5), ("prune-open1", 1)] {
+            let image = unpruned_image(tag, rounds, 20, 10);
+            let (opened, oracle) = (tmp_dir(&format!("{tag}-a")), tmp_dir(&format!("{tag}-b")));
+            copy_files(&image, &opened);
+            copy_files(&image, &oracle);
+            let store = ModelStore::open(&opened, small_config()).unwrap();
+            assert_eq!(store.last_lsn(), rounds as u64 * 20 + 10);
+            drop(store);
+            prune_by_rereading(&oracle, &small_config());
+            let (before, after) = (listing(&image), listing(&opened));
+            assert_eq!(after, listing(&oracle), "{tag}");
+            let segments =
+                |l: &[(String, u64)]| l.iter().filter(|f| f.0.starts_with("wal-")).count();
+            assert!(
+                segments(&after) < segments(&before),
+                "{tag}: no segment was pruned"
+            );
+            assert!(
+                segments(&after) >= 2,
+                "{tag}: the test needs a multi-segment log"
+            );
+            let gens = |l: &[(String, u64)]| l.iter().filter(|f| f.0.starts_with("ckpt-")).count();
+            assert_eq!(gens(&after), rounds.min(RETAIN_GENERATIONS), "{tag}");
+            for d in [image, opened, oracle] {
+                let _ = std::fs::remove_dir_all(d);
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoint_prunes_the_files_the_rereading_rule_prunes() {
+        let dir = tmp_dir("prune-ckpt");
+        let oracle = tmp_dir("prune-ckpt-oracle");
+        let mut store = ModelStore::open(&dir, small_config()).unwrap();
+        let mut pruned = 0;
+        for round in 0..6 {
+            for i in round * 20..(round + 1) * 20 {
+                store.observe(feedback(i)).unwrap();
+            }
+            let _ = std::fs::remove_dir_all(&oracle);
+            copy_files(&dir, &oracle);
+            let before = listing(&oracle).len();
+            let generation = store.checkpoint().unwrap();
+            let name = checkpoint_name(generation);
+            std::fs::copy(dir.join(&name), oracle.join(&name)).unwrap();
+            prune_by_rereading(&oracle, &small_config());
+            let after = listing(&dir);
+            assert_eq!(after, listing(&oracle), "round {round}");
+            pruned += (before + 1).saturating_sub(after.len());
+        }
+        assert!(
+            pruned > 3,
+            "only {pruned} files pruned over six checkpoints"
+        );
+        drop(store);
+        for d in [dir, oracle] {
+            let _ = std::fs::remove_dir_all(d);
+        }
     }
 
     #[test]
