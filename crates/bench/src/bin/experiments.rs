@@ -5,14 +5,15 @@
 //! ```text
 //! cargo run -p selearn-bench --release --bin experiments -- all [--quick]
 //! cargo run -p selearn-bench --release --bin experiments -- fig9 table1 ...
-//! cargo run -p selearn-bench --release --bin experiments -- accuracy --trace-out trace.jsonl
+//! cargo run -p selearn-bench --release --bin experiments -- accuracy --metrics-out metrics.txt
 //! ```
 //!
-//! Each experiment writes `results/<id>.csv`, prints an aligned table,
-//! and finishes with an observability report (span timing tree + counter
-//! dump). `--trace-out <path>` additionally streams every structured
-//! event — spans, counters, histograms, solver iterations and reports,
-//! metrics summaries — as one JSON object per line. Progress logging is
+//! Each experiment writes `results/<id>.csv` and prints an aligned table.
+//! `--metrics-out <path>` turns the obs instruments on and, after each
+//! experiment, appends a `# experiment <id>` line and that experiment's
+//! Prometheus text exposition (span timings, solver iterations and
+//! convergence, counters, histograms) to the file, then clears the
+//! registries. Without it the instruments stay off. Progress logging is
 //! leveled: `SELEARN_LOG=off|info|debug` (default `info`).
 //! See DESIGN.md for the experiment index and EXPERIMENTS.md for the
 //! paper-vs-measured record.
@@ -42,7 +43,7 @@ const SEED: u64 = 0x5e1e_c7ed;
 
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let trace_out = take_flag_value(&mut args, "--trace-out");
+    let metrics_out = take_flag_value(&mut args, "--metrics-out");
     let rows_override = take_flag_value(&mut args, "--rows");
     let test_n_override = take_flag_value(&mut args, "--test-n");
     let train_sizes_override = take_flag_value(&mut args, "--train-sizes");
@@ -83,18 +84,15 @@ fn main() {
         wanted = ALL_IDS.iter().map(|s| s.to_string()).collect();
     }
 
-    // Aggregation (spans/counters/histograms) is on by default in the
-    // driver: it feeds the per-experiment report and costs well under the
-    // 5% overhead budget (DESIGN.md). `SELEARN_OBS=off` turns it off (the
-    // CI overhead check A/Bs the two modes); --trace-out adds streaming.
-    let stats_off = std::env::var("SELEARN_OBS").is_ok_and(|v| v == "off" || v == "0");
-    selearn_obs::enable_stats(!stats_off);
-    if let Some(path) = &trace_out {
-        if let Err(e) = selearn_obs::install_trace_file(std::path::Path::new(path)) {
-            eprintln!("cannot open trace file {path}: {e}");
+    // The instruments are on only when their exposition is written.
+    let mut metrics_file = metrics_out.map(|path| match std::fs::File::create(&path) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("cannot create metrics file {path}: {e}");
             std::process::exit(2);
         }
-    }
+    });
+    selearn_obs::enable_stats(metrics_file.is_some());
 
     let t0 = Instant::now();
     for id in &wanted {
@@ -150,10 +148,11 @@ fn main() {
             std::process::exit(1);
         }
         selearn_obs::info!("== {id} done in {:.1}s ==", start.elapsed().as_secs_f64());
-        finish_experiment(id);
+        if let Some(file) = &mut metrics_file {
+            append_exposition(file, id);
+        }
     }
     selearn_obs::info!("total: {:.1}s", t0.elapsed().as_secs_f64());
-    selearn_obs::flush_sink();
 }
 
 /// Parses a numeric CLI flag value, exiting with a usage error otherwise.
@@ -181,15 +180,15 @@ fn take_flag_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     Some(value)
 }
 
-/// Ends one experiment's observability scope: streams the aggregate
-/// registries into the trace (if any), prints the text report, and clears
-/// the registries so the next experiment starts from zero.
-fn finish_experiment(id: &str) {
-    selearn_obs::flush_aggregates();
-    let report = selearn_obs::report::render();
-    if !report.is_empty() {
-        println!("\n--- {id}: observability ---");
-        print!("{report}");
+/// Appends `# experiment <id>` and the experiment's exposition to the
+/// metrics file, then clears the registries so the next experiment
+/// starts from zero.
+fn append_exposition(file: &mut std::fs::File, id: &str) {
+    use std::io::Write;
+    let body = selearn_obs::expo::render(&[]);
+    if let Err(e) = write!(file, "# experiment {id}\n{body}") {
+        eprintln!("cannot write the metrics file: {e}");
+        std::process::exit(2);
     }
     selearn_obs::reset();
 }
@@ -1239,7 +1238,7 @@ fn drift_adaptation(scale: &ExperimentScale) -> Result<(), SelearnError> {
 }
 
 /// Compact accuracy sweep with solver-convergence columns — the canonical
-/// trace-producing experiment (`accuracy --trace-out trace.jsonl`): the
+/// instrumented experiment (`accuracy --metrics-out metrics.txt`): the
 /// four main methods on Power (data-driven rects), reporting
 /// `solver_iters` / `solver_converged` alongside the error metrics.
 fn accuracy(scale: &ExperimentScale) -> Result<(), SelearnError> {

@@ -278,9 +278,6 @@ pub fn run_methods(
             let est = model.estimate_all(&test_ranges);
             let predict_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
             let q = q_error_quantiles(&est, &truth);
-            // Trace and table share this one computation (see
-            // `QErrorSummary::emit`): no second quantile code path.
-            q.emit(&format!("{}.n{}", m.name(), n), truth.len());
             let report = model.solve_report();
             rows.push(AccuracyRow {
                 method: m.name(),

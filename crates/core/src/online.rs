@@ -19,7 +19,7 @@ use crate::estimator::{SelectivityEstimator, TrainingQuery};
 use crate::frozen::{FrozenEstimator, FrozenQuad};
 use crate::quadhist::{solve_leaf_weights, update_quad, QuadHist, QuadHistConfig};
 use crate::quadtree::{QuadTree, ROOT};
-use selearn_geom::{Range, Rect, EPS};
+use selearn_geom::{GeomError, Range, RangeQuery, Rect, EPS};
 use std::collections::VecDeque;
 
 /// The complete mutable state of an [`OnlineQuadHist`], captured by
@@ -126,23 +126,43 @@ impl OnlineQuadHist {
         }
     }
 
-    /// Ingests one piece of query feedback: refines the partition
-    /// (Algorithm 2) and schedules a weight refit.
-    ///
-    /// Returns [`SelearnError::InvalidLabel`] on a non-finite **or
-    /// negative** selectivity (the model is left unchanged), or a solver
-    /// error from a scheduled refit. Batch `fit` tolerates finite
-    /// out-of-band labels (the agnostic setting), but feedback arriving
-    /// one record at a time is a *measurement* of a probability — a
-    /// negative value can only be an upstream bug, and admitting it into
-    /// the window would silently poison every refit until it ages out.
-    pub fn observe(&mut self, feedback: TrainingQuery) -> Result<(), SelearnError> {
-        if !feedback.selectivity.is_finite() || feedback.selectivity < 0.0 {
+    /// The checks [`OnlineQuadHist::observe`] makes before it changes
+    /// anything: [`SelearnError::InvalidLabel`] unless the selectivity is
+    /// a probability (finite, in `[0, 1]`), and [`SelearnError::Geom`]
+    /// (`DimensionMismatch`) unless the range has the root's dimension.
+    pub fn check_feedback(&self, feedback: &TrainingQuery) -> Result<(), SelearnError> {
+        if !(0.0..=1.0).contains(&feedback.selectivity) {
             return Err(SelearnError::InvalidLabel {
                 query: self.total_observed,
                 value: feedback.selectivity,
             });
         }
+        let got = feedback.range.dim();
+        if got != self.root.dim() {
+            return Err(SelearnError::Geom(GeomError::DimensionMismatch {
+                what: "online feedback range",
+                expected: self.root.dim(),
+                got,
+            }));
+        }
+        Ok(())
+    }
+
+    /// Ingests one piece of query feedback: refines the partition
+    /// (Algorithm 2) and schedules a weight refit.
+    ///
+    /// Returns [`SelearnError::InvalidLabel`] on a selectivity that is
+    /// not finite or lies outside `[0, 1]`, and [`SelearnError::Geom`] on
+    /// a range whose dimension is not the root's (either way the model is
+    /// left unchanged), or a solver error from a scheduled refit. Batch
+    /// `fit` tolerates finite out-of-band labels (the agnostic setting),
+    /// but feedback arriving one record at a time is a *measurement* of a
+    /// probability: a value outside `[0, 1]` can only be an upstream bug.
+    /// Admitted, a negative one would poison every refit until it ages
+    /// out, and a huge one splits the partition down to its smallest
+    /// cells (a label of 1e300 exhausts memory).
+    pub fn observe(&mut self, feedback: TrainingQuery) -> Result<(), SelearnError> {
+        self.check_feedback(&feedback)?;
         let nodes_before = self.tree.num_nodes();
         let vol_r = feedback.range.volume_in(&self.root, &self.config.volume);
         if vol_r > EPS {
@@ -239,7 +259,8 @@ impl OnlineQuadHist {
     /// Returns [`SelearnError::InvalidConfig`] on a bad config, or
     /// [`SelearnError::CorruptModel`] when the snapshot is internally
     /// inconsistent (arena/weight length mismatch, non-finite weight,
-    /// invalid history label, window over the cap, a refit overdue).
+    /// window record `observe` would refuse, window over the cap, a refit
+    /// overdue).
     pub fn restore(
         root: Rect,
         config: QuadHistConfig,
@@ -282,13 +303,11 @@ impl OnlineQuadHist {
                 ),
             });
         }
+        // The window holds only feedback `observe` admitted.
         for (i, q) in snapshot.history.iter().enumerate() {
-            if !q.selectivity.is_finite() || q.selectivity < 0.0 {
+            if let Err(e) = fresh.check_feedback(q) {
                 return Err(SelearnError::CorruptModel {
-                    what: format!(
-                        "snapshot window record {i} has invalid selectivity {}",
-                        q.selectivity
-                    ),
+                    what: format!("snapshot window record {i}: {e}"),
                 });
             }
         }
@@ -522,13 +541,22 @@ mod tests {
     }
 
     #[test]
-    fn nan_and_negative_feedback_are_rejected_untouched() {
+    fn labels_outside_the_unit_interval_are_rejected_untouched() {
         // Regression: negative selectivities used to slide into the window
-        // silently and poison every refit until they aged out.
+        // silently and poison every refit until they aged out; a label of
+        // 1e300 split the partition until memory ran out.
         let mut m = OnlineQuadHist::new(Rect::unit(2), QuadHistConfig::with_tau(0.05), 2).unwrap();
         m.observe(tq(vec![0.0, 0.0], vec![0.5, 0.5], 0.5)).unwrap();
         let before = m.history_len();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.2, -1e-12] {
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.2,
+            -1e-12,
+            1.0 + 1e-12,
+            1e300,
+        ] {
             let err = m
                 .observe(tq(vec![0.1, 0.1], vec![0.6, 0.6], bad))
                 .unwrap_err();
@@ -541,6 +569,31 @@ mod tests {
         assert_eq!(m.observations(), 1, "rejected feedback must not be counted");
         // -0.0 is a legal (zero) selectivity, not a negative one.
         m.observe(tq(vec![0.2, 0.2], vec![0.3, 0.3], -0.0)).unwrap();
+    }
+
+    #[test]
+    fn wrong_dimension_feedback_is_rejected_untouched() {
+        // Regression: a 3-D range on a 2-D model panicked inside the
+        // partition update instead of returning an error.
+        let mut m = OnlineQuadHist::new(Rect::unit(2), QuadHistConfig::with_tau(0.05), 2).unwrap();
+        m.observe(tq(vec![0.0, 0.0], vec![0.5, 0.5], 0.5)).unwrap();
+        let (history, leaves) = (m.history_len(), m.num_buckets());
+        let ball = selearn_geom::Ball::new(selearn_geom::Point::new(vec![0.5]), 0.2);
+        for bad in [
+            tq(vec![0.1; 3], vec![0.6; 3], 0.2),
+            TrainingQuery::new(ball, 0.2),
+        ] {
+            let err = m.observe(bad).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    SelearnError::Geom(GeomError::DimensionMismatch { expected: 2, .. })
+                ),
+                "{err}"
+            );
+        }
+        assert_eq!((m.history_len(), m.num_buckets()), (history, leaves));
+        assert_eq!(m.observations(), 1, "rejected feedback must not be counted");
     }
 
     #[test]

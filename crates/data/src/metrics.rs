@@ -97,27 +97,6 @@ pub fn q_error_quantiles(estimated: &[f64], truth: &[f64]) -> QErrorSummary {
     }
 }
 
-impl QErrorSummary {
-    /// Exports this summary as a [`selearn_obs::Event::MetricsSummary`] so
-    /// traces carry exactly the quantiles the bench tables print — both
-    /// come from the one [`q_error_quantiles`] computation. `name` labels
-    /// the estimator/workload; `count` is the number of test queries.
-    pub fn emit(&self, name: &str, count: usize) {
-        if !selearn_obs::sink_installed() {
-            return;
-        }
-        selearn_obs::emit(&selearn_obs::Event::MetricsSummary {
-            name: format!("q_error.{name}"),
-            count,
-            p50: self.p50,
-            p90: self.p90,
-            p95: self.p95,
-            p99: self.p99,
-            max: self.max,
-        });
-    }
-}
-
 /// The `p`-quantile (nearest-rank with linear interpolation) of an
 /// ascending-sorted slice.
 pub fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {

@@ -1,27 +1,16 @@
-//! Structured event taxonomy.
-//!
-//! Every observable fact in the pipeline is one of these variants; the
-//! `kind` string is the stable wire identifier used in JSONL output and
-//! asserted by the acceptance criteria (≥ 6 distinct kinds in a trace).
+//! Events a [`crate::MemorySink`] collects: the registries' aggregates
+//! ([`crate::flush_aggregates`]) and one report per solver exit. The
+//! `kind` string and [`Event::to_json`] give each a one-line rendering.
 
 use crate::json::{escape_into, fmt_f64_into};
 
 /// One structured observability event.
 ///
-/// Names use `String` (not `&'static str`) so dynamically composed names
-/// (`"fista.residual"`, per-method spans) work; hot paths that only bump
-/// aggregates never allocate — events are built at flush/report time.
+/// Names use `String` (not `&'static str`) so labelled registry names
+/// (`span.wall_us{path="…"}`) work; hot paths that only bump aggregates
+/// never allocate — aggregate events are built at flush time.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
-    /// A closed span: full '/'-joined path, nesting depth and duration.
-    Span {
-        /// '/'-joined path from the root span, e.g. `fit.quadhist/solve`.
-        path: String,
-        /// Nesting depth (root span = 0).
-        depth: usize,
-        /// Wall-clock duration in microseconds.
-        wall_us: u64,
-    },
     /// Final value of a monotonic counter.
     Counter {
         /// Registry name, e.g. `mc_samples_drawn`.
@@ -57,17 +46,6 @@ pub enum Event {
         /// Approximate 99th percentile.
         p99: f64,
     },
-    /// One iteration of an iterative solver.
-    SolverIteration {
-        /// Solver identifier (`nnls`, `fista`, `ipf`, `linf-smoothed`).
-        solver: &'static str,
-        /// Iteration index (0-based).
-        iter: usize,
-        /// Residual / objective value at this iteration.
-        residual: f64,
-        /// Step size (or pass-specific scalar; 0.0 when not applicable).
-        step: f64,
-    },
     /// Terminal summary of one solve call.
     SolverReport {
         /// Solver identifier.
@@ -81,44 +59,16 @@ pub enum Event {
         /// Residual at exit.
         final_residual: f64,
     },
-    /// Quantile summary of an error metric (q-error over a test workload).
-    MetricsSummary {
-        /// Metric name, e.g. `q_error`.
-        name: String,
-        /// Number of observations summarised.
-        count: usize,
-        /// 50th percentile.
-        p50: f64,
-        /// 90th percentile.
-        p90: f64,
-        /// 95th percentile.
-        p95: f64,
-        /// 99th percentile.
-        p99: f64,
-        /// Maximum.
-        max: f64,
-    },
-    /// A leveled log line.
-    Log {
-        /// `warn`, `info` or `debug`.
-        level: &'static str,
-        /// Message text.
-        message: String,
-    },
 }
 
 impl Event {
     /// Stable wire identifier of this event's kind.
     pub fn kind(&self) -> &'static str {
         match self {
-            Event::Span { .. } => "span",
             Event::Counter { .. } => "counter",
             Event::Gauge { .. } => "gauge",
             Event::Histogram { .. } => "histogram",
-            Event::SolverIteration { .. } => "solver-iteration",
             Event::SolverReport { .. } => "solver-report",
-            Event::MetricsSummary { .. } => "metrics-summary",
-            Event::Log { .. } => "log",
         }
     }
 
@@ -129,18 +79,6 @@ impl Event {
         s.push_str(self.kind());
         s.push('"');
         match self {
-            Event::Span {
-                path,
-                depth,
-                wall_us,
-            } => {
-                s.push_str(",\"path\":");
-                escape_into(&mut s, path);
-                s.push_str(",\"depth\":");
-                s.push_str(&depth.to_string());
-                s.push_str(",\"wall_us\":");
-                s.push_str(&wall_us.to_string());
-            }
             Event::Counter { name, value } => {
                 s.push_str(",\"name\":");
                 escape_into(&mut s, name);
@@ -183,21 +121,6 @@ impl Event {
                     fmt_f64_into(&mut s, *v);
                 }
             }
-            Event::SolverIteration {
-                solver,
-                iter,
-                residual,
-                step,
-            } => {
-                s.push_str(",\"solver\":");
-                escape_into(&mut s, solver);
-                s.push_str(",\"iter\":");
-                s.push_str(&iter.to_string());
-                s.push_str(",\"residual\":");
-                fmt_f64_into(&mut s, *residual);
-                s.push_str(",\"step\":");
-                fmt_f64_into(&mut s, *step);
-            }
             Event::SolverReport {
                 solver,
                 iters,
@@ -216,38 +139,6 @@ impl Event {
                 s.push_str(",\"final_residual\":");
                 fmt_f64_into(&mut s, *final_residual);
             }
-            Event::MetricsSummary {
-                name,
-                count,
-                p50,
-                p90,
-                p95,
-                p99,
-                max,
-            } => {
-                s.push_str(",\"name\":");
-                escape_into(&mut s, name);
-                s.push_str(",\"count\":");
-                s.push_str(&count.to_string());
-                for (key, v) in [
-                    ("p50", p50),
-                    ("p90", p90),
-                    ("p95", p95),
-                    ("p99", p99),
-                    ("max", max),
-                ] {
-                    s.push_str(",\"");
-                    s.push_str(key);
-                    s.push_str("\":");
-                    fmt_f64_into(&mut s, *v);
-                }
-            }
-            Event::Log { level, message } => {
-                s.push_str(",\"level\":");
-                escape_into(&mut s, level);
-                s.push_str(",\"message\":");
-                escape_into(&mut s, message);
-            }
         }
         s.push('}');
         s
@@ -262,11 +153,6 @@ mod tests {
     #[test]
     fn every_kind_serialises_to_valid_json() {
         let events = [
-            Event::Span {
-                path: "fit.quadhist/solve".into(),
-                depth: 1,
-                wall_us: 1234,
-            },
             Event::Counter {
                 name: "mc_samples_drawn".into(),
                 value: 42,
@@ -286,31 +172,12 @@ mod tests {
                 p95: 8.5,
                 p99: 9.0,
             },
-            Event::SolverIteration {
-                solver: "fista",
-                iter: 3,
-                residual: 1e-6,
-                step: 0.01,
-            },
             Event::SolverReport {
                 solver: "nnls",
                 iters: 17,
                 max_iters: 600,
                 converged: true,
                 final_residual: 2.5e-9,
-            },
-            Event::MetricsSummary {
-                name: "q_error".into(),
-                count: 1000,
-                p50: 1.1,
-                p90: 1.9,
-                p95: 2.4,
-                p99: 4.0,
-                max: 11.0,
-            },
-            Event::Log {
-                level: "info",
-                message: "quoted \"text\" and\nnewline".into(),
             },
         ];
         let mut kinds = std::collections::BTreeSet::new();
@@ -319,7 +186,7 @@ mod tests {
             assert!(matches!(parse(&js), Ok(Json::Obj(_))), "invalid JSON: {js}");
             kinds.insert(e.kind());
         }
-        assert_eq!(kinds.len(), 8, "eight distinct event kinds");
+        assert_eq!(kinds.len(), 4, "four distinct event kinds");
     }
 
     #[test]
@@ -329,12 +196,13 @@ mod tests {
             value: f64::NAN,
         };
         assert!(e.to_json().contains("\"value\":null"));
-        let e = Event::SolverIteration {
+        let e = Event::SolverReport {
             solver: "fista",
-            iter: 0,
-            residual: f64::INFINITY,
-            step: 0.0,
+            iters: 700,
+            max_iters: 700,
+            converged: false,
+            final_residual: f64::INFINITY,
         };
-        assert!(e.to_json().contains("\"residual\":null"));
+        assert!(e.to_json().contains("\"final_residual\":null"));
     }
 }

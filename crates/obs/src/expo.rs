@@ -5,8 +5,10 @@
 //! produces the `text/plain` body served by the admin plane's `/metrics`
 //! endpoint. The registries keep their internal dotted names
 //! (`serve.latency_us`); exposition rewrites them to the Prometheus
-//! grammar (`serve_latency_us`) without touching the registries, so
-//! existing JSONL traces and text reports are unchanged.
+//! grammar (`serve_latency_us`) without touching the registries. This is
+//! the program's one output format for its instruments: `/metrics`, the
+//! binaries' `--metrics-out` files and the span and solver histograms all
+//! read it.
 //!
 //! # Label convention
 //!

@@ -1,21 +1,24 @@
-//! `selearn-obs` — zero-dependency structured observability for the
+//! `selearn-obs` — zero-dependency observability for the
 //! selectivity-learning pipeline.
 //!
 //! Every other `selearn-*` crate links against this one, so it is built
 //! from scratch on `std` alone (the workspace is offline-vendored; no
-//! registry crates). It provides four instruments:
+//! registry crates). It keeps two instruments, and one output format for
+//! both, the Prometheus text exposition of [`expo::render`]:
 //!
-//! * **Spans** — RAII timing guards ([`span()`] / the [`span!`] macro) that
-//!   nest through a thread-local stack into a hierarchical timing tree
-//!   (`fit.quadhist/assemble`, …);
 //! * **Counters & gauges** — monotonic [`counter_add`] / latest-value
 //!   [`gauge_set`] registries backed by `AtomicU64`, safe to bump from
 //!   serve worker threads;
 //! * **Histograms** — lock-free log₂-bucketed distributions
-//!   ([`histogram_record`]) for per-query predict latency and
-//!   per-iteration residual norms;
-//! * **Events** — structured [`Event`]s pushed to a pluggable [`ObsSink`]
-//!   (solver iterations, solve reports, metrics summaries, logs).
+//!   ([`histogram_record`]). Timing spans ([`span()`] / the [`span!`]
+//!   macro) nest through a thread-local stack and record their wall µs
+//!   into `span.wall_us{path="fit.quadhist/assemble"}`; solver exits
+//!   record `solver.iters{solver="…"}` and `solver.final_residual{…}`.
+//!
+//! A [`MemorySink`] installed with [`set_sink`] also collects solver
+//! reports and the [`flush_aggregates`] snapshot as [`Event`]s, for
+//! in-process readers (the golden-weight tests, the benchmark's traced
+//! runs).
 //!
 //! # Overhead contract
 //!
@@ -23,20 +26,16 @@
 //! disabled, every instrumentation call is a single relaxed atomic load
 //! and a predictable branch — the no-sink configuration budgeted at
 //! < 5 % end-to-end overhead in DESIGN.md (in practice unmeasurable).
-//! Aggregation (counters/spans/histograms) is enabled by
-//! [`enable_stats`]; event emission is enabled by installing a sink with
-//! [`set_sink`]. Installing a sink implies stats.
+//! Aggregation is enabled by [`enable_stats`]; installing a sink implies
+//! stats.
 //!
 //! # Determinism contract
 //!
-//! When several threads (the server's workers) are instrumented, raw event
-//! *order* across them is scheduler-dependent, but every **aggregate** is
-//! not: counters are atomic sums of the same bump set, histograms are
-//! atomic bucket counts, and the timing tree is keyed by span *path*, so
-//! its shape (node set, nesting, per-node call counts) does not depend on
-//! the interleaving — only wall-clock durations vary. Sinks receive
-//! per-thread events as they close; [`flush_aggregates`] then emits the
-//! merged registries in deterministic (sorted) order.
+//! When several threads (the server's workers) are instrumented, every
+//! aggregate is independent of the interleaving: counters are atomic sums
+//! of the same bump set, histograms are atomic bucket counts, and span
+//! histograms are keyed by span *path*, so their set and per-path counts
+//! do not depend on the scheduler — only wall-clock durations vary.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,31 +48,30 @@ pub mod expo;
 pub mod json;
 pub mod log;
 pub mod metrics;
-pub mod report;
 pub mod sink;
 pub mod span;
 
 pub use event::Event;
-pub use log::{set_level, Level};
+pub use log::Level;
 pub use metrics::{
     counter_add, counter_get, gauge_set, histogram_record, HistogramExport, HistogramSummary,
 };
-pub use sink::{JsonlSink, MemorySink, ObsSink};
+pub use sink::MemorySink;
 pub use span::{span, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 
-/// Fast gate for the aggregation instruments (spans, counters,
-/// histograms). Relaxed is sufficient: a stale read only delays the first
-/// few bumps after enabling, never corrupts state.
+/// Fast gate for the aggregation instruments. Relaxed is sufficient: a
+/// stale read only delays the first few bumps after enabling, never
+/// corrupts state.
 static STATS: AtomicBool = AtomicBool::new(false);
-/// Fast gate for event emission, mirrored from the sink slot so the hot
+/// Fast gate for event collection, mirrored from the sink slot so the hot
 /// path never takes the `RwLock`.
 static SINK_INSTALLED: AtomicBool = AtomicBool::new(false);
 
-fn sink_slot() -> &'static RwLock<Option<Arc<dyn ObsSink>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<dyn ObsSink>>>> = OnceLock::new();
+fn sink_slot() -> &'static RwLock<Option<Arc<MemorySink>>> {
+    static SLOT: OnceLock<RwLock<Option<Arc<MemorySink>>>> = OnceLock::new();
     SLOT.get_or_init(|| RwLock::new(None))
 }
 
@@ -84,33 +82,20 @@ pub fn enabled() -> bool {
     STATS.load(Ordering::Relaxed) || SINK_INSTALLED.load(Ordering::Relaxed)
 }
 
-/// `true` when a sink is installed (events will be recorded).
-#[inline]
-pub fn sink_installed() -> bool {
-    SINK_INSTALLED.load(Ordering::Relaxed)
-}
-
 /// Turns the aggregation instruments on or off without touching the sink.
-/// The experiments binary enables stats so the end-of-run text report has
-/// data even when no trace is being written.
+/// The binaries turn them on when asked for `--metrics-out` (and the
+/// server also for `--stats` or `--admin-addr`).
 pub fn enable_stats(on: bool) {
     STATS.store(on, Ordering::Relaxed);
 }
 
 /// Installs the global event sink, replacing any previous one.
-pub fn set_sink(sink: Arc<dyn ObsSink>) {
+pub fn set_sink(sink: Arc<MemorySink>) {
     *sink_slot().write().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(sink);
     SINK_INSTALLED.store(true, Ordering::Relaxed);
 }
 
-/// Creates (truncating) a JSON-lines trace file at `path` and installs it
-/// as the global event sink — what the binaries' `--trace-out` flag does.
-pub fn install_trace_file(path: &std::path::Path) -> std::io::Result<()> {
-    set_sink(Arc::new(JsonlSink::create(path)?));
-    Ok(())
-}
-
-/// Removes the global event sink (reverting to the implicit null sink).
+/// Removes the global event sink.
 pub fn clear_sink() {
     SINK_INSTALLED.store(false, Ordering::Relaxed);
     *sink_slot().write().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
@@ -118,7 +103,7 @@ pub fn clear_sink() {
 
 /// Records one event into the installed sink, if any.
 pub fn emit(event: &Event) {
-    if !sink_installed() {
+    if !SINK_INSTALLED.load(Ordering::Relaxed) {
         return;
     }
     if let Some(sink) = sink_slot().read().unwrap_or_else(std::sync::PoisonError::into_inner).as_ref() {
@@ -126,36 +111,10 @@ pub fn emit(event: &Event) {
     }
 }
 
-/// Flushes the installed sink (no-op without one).
-pub fn flush_sink() {
-    if !sink_installed() {
-        return;
-    }
-    if let Some(sink) = sink_slot().read().unwrap_or_else(std::sync::PoisonError::into_inner).as_ref() {
-        sink.flush();
-    }
-}
-
-/// Emits one per-iteration convergence event for an iterative solver and
-/// folds the residual into the `<solver>.residual` histogram.
-pub fn solver_iteration(solver: &'static str, iter: usize, residual: f64, step: f64) {
-    if !enabled() {
-        return;
-    }
-    metrics::histogram_record_str(format!("{solver}.residual"), residual);
-    emit(&Event::SolverIteration {
-        solver,
-        iter,
-        residual,
-        step,
-    });
-}
-
 /// Emits every counter, gauge and histogram in the registries as events
-/// (in sorted-name order) and resets nothing — call at the end of an
-/// experiment so traces contain the final aggregate values.
+/// (in sorted-name order) into the installed sink and resets nothing.
 pub fn flush_aggregates() {
-    if !sink_installed() {
+    if !SINK_INSTALLED.load(Ordering::Relaxed) {
         return;
     }
     for (name, value) in metrics::counter_snapshot() {
@@ -179,11 +138,10 @@ pub fn flush_aggregates() {
     }
 }
 
-/// Clears every aggregate registry (counters, gauges, histograms, timing
-/// tree). Used between experiments and by tests.
+/// Clears every registry (counters, gauges, histograms — span timings
+/// included). Used between experiments and by tests.
 pub fn reset() {
     metrics::reset();
-    span::reset_timings();
 }
 
 #[cfg(test)]
@@ -218,7 +176,7 @@ mod tests {
         enable_stats(false);
         let mem = Arc::new(MemorySink::new());
         set_sink(mem.clone());
-        assert!(enabled() && sink_installed());
+        assert!(enabled());
         emit(&Event::Counter {
             name: "x".into(),
             value: 7,

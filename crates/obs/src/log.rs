@@ -1,11 +1,8 @@
 //! Leveled logging (`SELEARN_LOG=off|warn|info|debug`).
 //!
 //! Replaces the bench harness's ad-hoc `eprintln!` lines: messages at or
-//! below the active level go to stderr prefixed `[selearn]`, and are
-//! mirrored as [`Event::Log`] into the installed sink so traces capture
-//! the narrative alongside the numbers.
+//! below the active level go to stderr prefixed `[selearn]`.
 
-use crate::event::Event;
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Log verbosity, ordered `Off < Warn < Info < Debug`.
@@ -26,11 +23,12 @@ pub enum Level {
 const UNINIT: u8 = 4;
 static LEVEL: AtomicU8 = AtomicU8::new(UNINIT);
 
-fn level_from_env() -> Level {
-    match std::env::var("SELEARN_LOG").as_deref() {
-        Ok("off") | Ok("0") => Level::Off,
-        Ok("warn") | Ok("1") => Level::Warn,
-        Ok("debug") | Ok("3") => Level::Debug,
+/// Parses a `SELEARN_LOG` value.
+fn parse_level(value: Option<&str>) -> Level {
+    match value {
+        Some("off") | Some("0") => Level::Off,
+        Some("warn") | Some("1") => Level::Warn,
+        Some("debug") | Some("3") => Level::Debug,
         // default and explicit "info"/"2" and any unrecognised value
         _ => Level::Info,
     }
@@ -44,17 +42,11 @@ pub fn level() -> Level {
         2 => Level::Info,
         3 => Level::Debug,
         _ => {
-            let l = level_from_env();
+            let l = parse_level(std::env::var("SELEARN_LOG").ok().as_deref());
             LEVEL.store(l as u8, Ordering::Relaxed);
             l
         }
     }
-}
-
-/// Overrides the level programmatically (e.g. a future `--verbose` flag);
-/// wins over `SELEARN_LOG`.
-pub fn set_level(l: Level) {
-    LEVEL.store(l as u8, Ordering::Relaxed);
 }
 
 /// `true` when messages at `l` would be printed.
@@ -63,29 +55,17 @@ pub fn log_enabled(l: Level) -> bool {
     l <= level()
 }
 
-/// Logs `message` at level `l`: stderr line plus a `log` event if a sink
-/// is installed. Prefer the [`crate::warn!`]/[`crate::info!`]/
-/// [`crate::debug!`] macros, which skip formatting entirely when the
-/// level is off.
+/// Logs `message` at level `l` as one stderr line. Prefer the
+/// [`crate::warn!`]/[`crate::info!`]/[`crate::debug!`] macros, which skip
+/// formatting entirely when the level is off.
 pub fn log(l: Level, message: &str) {
     if !log_enabled(l) {
         return;
     }
-    let tag = match l {
-        Level::Warn => "warn",
-        Level::Debug => "debug",
-        _ => "info",
-    };
     if l == Level::Warn {
         eprintln!("[selearn] warn: {message}");
     } else {
         eprintln!("[selearn] {message}");
-    }
-    if crate::sink_installed() {
-        crate::emit(&Event::Log {
-            level: tag,
-            message: message.to_string(),
-        });
     }
 }
 
@@ -127,21 +107,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn level_ordering_and_override() {
-        // set_level wins regardless of env
-        set_level(Level::Off);
-        assert!(!log_enabled(Level::Warn));
-        assert!(!log_enabled(Level::Info));
-        assert!(!log_enabled(Level::Debug));
-        set_level(Level::Warn);
-        assert!(log_enabled(Level::Warn));
-        assert!(!log_enabled(Level::Info));
-        set_level(Level::Info);
-        assert!(log_enabled(Level::Warn));
-        assert!(log_enabled(Level::Info));
-        assert!(!log_enabled(Level::Debug));
-        set_level(Level::Debug);
-        assert!(log_enabled(Level::Debug));
-        set_level(Level::Info);
+    fn levels_parse_and_order() {
+        assert!(
+            Level::Off < Level::Warn && Level::Warn < Level::Info && Level::Info < Level::Debug
+        );
+        for (value, level) in [
+            (Some("off"), Level::Off),
+            (Some("0"), Level::Off),
+            (Some("warn"), Level::Warn),
+            (Some("1"), Level::Warn),
+            (Some("info"), Level::Info),
+            (Some("2"), Level::Info),
+            (Some("debug"), Level::Debug),
+            (Some("3"), Level::Debug),
+            (Some("loud"), Level::Info),
+            (None, Level::Info),
+        ] {
+            assert_eq!(parse_level(value), level, "{value:?}");
+        }
     }
 }

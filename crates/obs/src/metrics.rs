@@ -163,7 +163,7 @@ impl Histogram {
         }
         // CAS loops for min/max/sum. The sum is *not* deterministic when
         // threads record concurrently (float addition is non-associative),
-        // but it is only used for the mean in reports, never in results.
+        // but it only feeds means, `_sum` and span totals, never results.
         let mut cur = self.min_bits.load(Ordering::Relaxed);
         while v < f64::from_bits(cur) {
             match self.min_bits.compare_exchange_weak(
@@ -326,16 +326,6 @@ pub fn histogram_record(name: &str, value: f64) {
         return;
     }
     histogram_cell(name).record(value);
-}
-
-/// Like [`histogram_record`] but takes an owned name (for composed
-/// names); still no-op while disabled, checked before use.
-#[inline]
-pub(crate) fn histogram_record_str(name: String, value: f64) {
-    if !crate::enabled() {
-        return;
-    }
-    histogram_cell(&name).record(value);
 }
 
 /// Sorted snapshot of every histogram's summary.

@@ -1,25 +1,27 @@
-//! Hierarchical timing spans.
+//! Hierarchical timing spans, recorded as histograms.
 //!
 //! [`span`] returns an RAII guard; while it lives, its name sits on a
 //! thread-local stack, so nested guards form '/'-joined paths
-//! (`fit.quadhist/assemble`). On drop, the guard (a) folds the duration
-//! into a global path-keyed timing registry — a `BTreeMap`, so the
-//! rendered tree is deterministically ordered — and (b) emits a
-//! [`Event::Span`] if a sink is installed.
+//! (`fit.quadhist/assemble`). On drop, the guard records its wall time in
+//! µs into the histogram `span.wall_us{path="<path>"}`, one series per
+//! path, which `/metrics` renders like any other histogram. Span names
+//! are code literals and must not contain `"` or `\`.
 //!
 //! Each thread (e.g. each serve worker) has its own stack, so a span
 //! opened on one thread nests under whatever that thread has open
 //! (usually nothing) rather than corrupting another thread's stack.
 
-use crate::event::Event;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 thread_local! {
     static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
+
+/// Registry name of a span histogram up to its path.
+const PREFIX: &str = "span.wall_us{path=\"";
+/// Registry name of a span histogram after its path.
+const SUFFIX: &str = "\"}";
 
 /// Aggregate for one span path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -28,11 +30,6 @@ pub struct SpanStat {
     pub count: u64,
     /// Total wall time across entries, in nanoseconds.
     pub total_ns: u64,
-}
-
-fn registry() -> &'static Mutex<BTreeMap<String, SpanStat>> {
-    static REG: OnceLock<Mutex<BTreeMap<String, SpanStat>>> = OnceLock::new();
-    REG.get_or_init(|| Mutex::new(BTreeMap::new()))
 }
 
 /// RAII guard for one timed span; created by [`span`].
@@ -57,24 +54,22 @@ pub fn span(name: &'static str) -> SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
-        let elapsed = start.elapsed();
-        let (path, depth) = STACK.with(|s| {
+        let wall_us = start.elapsed().as_nanos() as f64 / 1e3;
+        let name = STACK.with(|s| {
             let mut stack = s.borrow_mut();
-            let path = stack.join("/");
+            let mut name = String::with_capacity(64);
+            name.push_str(PREFIX);
+            for (i, part) in stack.iter().enumerate() {
+                if i > 0 {
+                    name.push('/');
+                }
+                name.push_str(part);
+            }
+            name.push_str(SUFFIX);
             stack.pop();
-            (path, stack.len())
+            name
         });
-        {
-            let mut reg = registry().lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let stat = reg.entry(path.clone()).or_default();
-            stat.count += 1;
-            stat.total_ns += elapsed.as_nanos() as u64;
-        }
-        crate::emit(&Event::Span {
-            path,
-            depth,
-            wall_us: elapsed.as_micros() as u64,
-        });
+        crate::histogram_record(&name, wall_us);
     }
 }
 
@@ -87,20 +82,22 @@ macro_rules! span {
     };
 }
 
-/// Snapshot of the timing registry, sorted by path.
+/// Count and total wall time of every span path, sorted by path, read
+/// from the `span.wall_us` histograms.
 pub fn timing_snapshot() -> Vec<(String, SpanStat)> {
-    registry()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .iter()
-        .map(|(k, v)| (k.clone(), *v))
-        .collect()
-}
-
-/// Clears the timing registry (the thread-local stacks empty themselves
-/// as guards drop).
-pub fn reset_timings() {
-    registry().lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+    let mut spans: Vec<(String, SpanStat)> = crate::metrics::histogram_export_snapshot()
+        .into_iter()
+        .filter_map(|(name, h)| {
+            let path = name.strip_prefix(PREFIX)?.strip_suffix(SUFFIX)?;
+            let stat = SpanStat {
+                count: h.count,
+                total_ns: (h.sum * 1e3).round() as u64,
+            };
+            Some((path.to_string(), stat))
+        })
+        .collect();
+    spans.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+    spans
 }
 
 #[cfg(test)]
@@ -127,6 +124,8 @@ mod tests {
         let snap = timing_snapshot();
         let paths: Vec<(&str, u64)> = snap.iter().map(|(p, s)| (p.as_str(), s.count)).collect();
         assert_eq!(paths, vec![("outer", 1), ("outer/inner", 2)]);
+        let inner = crate::metrics::histogram_get("span.wall_us{path=\"outer/inner\"}").unwrap();
+        assert_eq!(inner.count, 2);
         crate::reset();
     }
 

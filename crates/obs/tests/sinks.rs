@@ -1,14 +1,13 @@
-//! Integration tests for the sink layer: span nesting shape through a
-//! `MemorySink`, and a golden-file check that `JsonlSink` output parses
-//! line-by-line.
+//! Integration tests for the instruments' one output format: span nesting
+//! through `timing_snapshot` and the exposition, and the span and solver
+//! histogram families as `/metrics` renders them.
 //!
 //! These tests mutate process-global observability state, so the file
 //! keeps them in one `#[test]` sequence per concern and resets around
 //! each block; `cargo test` runs separate integration-test binaries in
 //! separate processes, so no cross-file interference is possible.
 
-use selearn_obs::{Event, MemorySink};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -16,6 +15,7 @@ fn with_clean_state<R>(f: impl FnOnce() -> R) -> R {
     let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     selearn_obs::clear_sink();
     selearn_obs::reset();
+    selearn_obs::enable_stats(true);
     let r = f();
     selearn_obs::clear_sink();
     selearn_obs::enable_stats(false);
@@ -23,12 +23,18 @@ fn with_clean_state<R>(f: impl FnOnce() -> R) -> R {
     r
 }
 
-#[test]
-fn memory_sink_observes_span_nesting_and_timing_tree_shape() {
-    with_clean_state(|| {
-        let mem = Arc::new(MemorySink::new());
-        selearn_obs::set_sink(mem.clone());
+/// The value of sample line `series` in an exposition body.
+fn sample(body: &str, series: &str) -> Option<f64> {
+    body.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.rsplit_once(' '))
+        .find(|(name, _)| *name == series)
+        .and_then(|(_, v)| v.parse().ok())
+}
 
+#[test]
+fn span_nesting_shows_in_the_timing_snapshot_and_the_exposition() {
+    with_clean_state(|| {
         {
             let _fit = selearn_obs::span!("fit.quadhist");
             {
@@ -42,128 +48,89 @@ fn memory_sink_observes_span_nesting_and_timing_tree_shape() {
             let _pred = selearn_obs::span!("predict.quadhist");
         }
 
-        // Events arrive in close order: inner spans before their parents.
-        let spans: Vec<(String, usize)> = mem
-            .events()
+        // The snapshot is path-keyed and sorted: parent first, children
+        // under it, repeat counts folded.
+        let snapshot = selearn_obs::span::timing_snapshot();
+        let tree: Vec<(&str, u64)> = snapshot
             .iter()
-            .filter_map(|e| match e {
-                Event::Span { path, depth, .. } => Some((path.clone(), *depth)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(
-            spans,
-            vec![
-                ("fit.quadhist/assemble".to_string(), 1),
-                ("fit.quadhist/solve".to_string(), 1),
-                ("fit.quadhist/solve".to_string(), 1),
-                ("fit.quadhist/solve".to_string(), 1),
-                ("fit.quadhist".to_string(), 0),
-                ("predict.quadhist".to_string(), 0),
-            ]
-        );
-
-        // The aggregate timing tree is path-keyed and sorted: parent
-        // first, children under it, repeat counts folded.
-        let tree: Vec<(String, u64)> = selearn_obs::span::timing_snapshot()
-            .into_iter()
-            .map(|(p, s)| (p, s.count))
+            .map(|(p, s)| (p.as_str(), s.count))
             .collect();
         assert_eq!(
             tree,
             vec![
-                ("fit.quadhist".to_string(), 1),
-                ("fit.quadhist/assemble".to_string(), 1),
-                ("fit.quadhist/solve".to_string(), 3),
-                ("predict.quadhist".to_string(), 1),
+                ("fit.quadhist", 1),
+                ("fit.quadhist/assemble", 1),
+                ("fit.quadhist/solve", 3),
+                ("predict.quadhist", 1),
             ]
+        );
+        // A parent's wall time covers its children's.
+        let total = |path: &str| snapshot.iter().find(|(p, _)| p == path).unwrap().1.total_ns;
+        assert!(
+            total("fit.quadhist") >= total("fit.quadhist/assemble") + total("fit.quadhist/solve")
+        );
+
+        // The same counts are one histogram family in the exposition.
+        let body = selearn_obs::expo::render(&[]);
+        assert_eq!(
+            body.matches("# TYPE span_wall_us histogram\n").count(),
+            1,
+            "{body}"
+        );
+        for (path, count) in tree {
+            let series = format!("span_wall_us_count{{path=\"{path}\"}}");
+            assert_eq!(
+                sample(&body, &series),
+                Some(count as f64),
+                "{series}\n{body}"
+            );
+        }
+        let sum = sample(&body, "span_wall_us_sum{path=\"fit.quadhist\"}").unwrap();
+        assert!(
+            (sum * 1e3 - total("fit.quadhist") as f64).abs() <= 1.0,
+            "{sum}"
         );
     });
 }
 
 #[test]
-fn solver_iteration_helper_emits_event_and_residual_histogram() {
+fn solver_exits_render_as_histograms_and_an_unconverged_counter() {
     with_clean_state(|| {
-        let mem = Arc::new(MemorySink::new());
-        selearn_obs::set_sink(mem.clone());
-        selearn_obs::solver_iteration("fista", 0, 1e-3, 0.5);
-        selearn_obs::solver_iteration("fista", 1, 1e-5, 0.5);
-        let iters: Vec<usize> = mem
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                Event::SolverIteration { iter, .. } => Some(*iter),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(iters, vec![0, 1]);
-        let h = selearn_obs::metrics::histogram_get("fista.residual").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.max, 1e-3);
-    });
-}
-
-#[test]
-fn jsonl_sink_golden_file_parses_line_by_line() {
-    use selearn_obs::json::{parse, Json};
-    use selearn_obs::JsonlSink;
-
-    let path = std::env::temp_dir().join("selearn_obs_golden_trace.jsonl");
-    with_clean_state(|| {
-        let sink = Arc::new(JsonlSink::create(&path).expect("create trace file"));
-        selearn_obs::set_sink(sink);
-
-        // One event of every kind, including strings that exercise the
-        // escaper, written through the real global emission path.
-        {
-            let _s = selearn_obs::span!("golden.fit");
+        // Two labelled solver families, as `SolveReport::emit` records
+        // them: a converged and an unconverged FISTA solve.
+        for (iters, unconverged) in [(12u32, 0u64), (700, 1)] {
+            selearn_obs::histogram_record("solver.iters{solver=\"fista\"}", f64::from(iters));
+            selearn_obs::histogram_record("solver.final_residual{solver=\"fista\"}", 1e-3);
+            selearn_obs::counter_add("solver.unconverged{solver=\"fista\"}", unconverged);
         }
-        selearn_obs::counter_add("mc_samples_drawn", 4096);
-        selearn_obs::gauge_set("tau", 0.0125);
-        selearn_obs::histogram_record("predict.latency_us", 17.0);
-        selearn_obs::solver_iteration("nnls", 4, 3.2e-7, 1.0);
-        selearn_obs::emit(&Event::SolverReport {
-            solver: "nnls",
-            iters: 5,
-            max_iters: 600,
-            converged: true,
-            final_residual: 3.2e-7,
-        });
-        selearn_obs::emit(&Event::MetricsSummary {
-            name: "q_error".into(),
-            count: 100,
-            p50: 1.1,
-            p90: 2.0,
-            p95: 2.6,
-            p99: 4.2,
-            max: f64::INFINITY, // must serialise as null, not break the line
-        });
-        selearn_obs::log::log(selearn_obs::Level::Info, "golden \"quoted\"\tline");
-        selearn_obs::flush_aggregates();
-        selearn_obs::flush_sink();
+        let body = selearn_obs::expo::render(&[]);
+        assert!(body.contains("# TYPE solver_iters histogram\n"), "{body}");
+        assert_eq!(
+            sample(&body, "solver_iters_count{solver=\"fista\"}"),
+            Some(2.0),
+            "{body}"
+        );
+        assert_eq!(
+            sample(&body, "solver_iters_sum{solver=\"fista\"}"),
+            Some(712.0),
+            "{body}"
+        );
+        assert!(
+            body.contains("solver_iters_bucket{solver=\"fista\",le=\"+Inf\"} 2\n"),
+            "{body}"
+        );
+        assert!(
+            body.contains("# TYPE solver_final_residual histogram\n"),
+            "{body}"
+        );
+        assert!(
+            body.contains("# TYPE solver_unconverged counter\n"),
+            "{body}"
+        );
+        assert_eq!(
+            sample(&body, "solver_unconverged{solver=\"fista\"}"),
+            Some(1.0),
+            "{body}"
+        );
     });
-
-    let contents = std::fs::read_to_string(&path).expect("read trace file");
-    let lines: Vec<&str> = contents.lines().collect();
-    assert!(lines.len() >= 8, "expected ≥8 events, got {}", lines.len());
-    let mut kinds = std::collections::BTreeSet::new();
-    for line in &lines {
-        let event = parse(line).unwrap_or_else(|e| panic!("invalid JSONL line {line}: {e}"));
-        assert!(matches!(event, Json::Obj(_)), "not an object: {line}");
-        let kind = event.get("kind").and_then(Json::as_str).unwrap_or_default();
-        kinds.insert(kind.to_string());
-    }
-    for expected in [
-        "span",
-        "counter",
-        "gauge",
-        "histogram",
-        "solver-iteration",
-        "solver-report",
-        "metrics-summary",
-        "log",
-    ] {
-        assert!(kinds.contains(expected), "missing kind {expected}: {kinds:?}");
-    }
-    let _ = std::fs::remove_file(&path);
 }

@@ -83,6 +83,30 @@ pub(crate) fn parse_head(buf: &[u8]) -> Head {
     Head::Get(target.split('?').next().unwrap_or("").to_string())
 }
 
+/// The `/metrics` body: this server's serving counts under their
+/// exposition family names beside the process-wide obs registries. The
+/// serving counts are the same numbers `/stats` reads, and they count
+/// whether or not obs stats are enabled. `selearn-serve --metrics-out`
+/// writes this body at a clean exit.
+pub fn render_metrics(s: &ServeStats, cache: &EstimateCache) -> String {
+    selearn_obs::expo::render(&[
+        ("serve.requests_total", s.requests()),
+        ("serve.requests_shed", s.shed()),
+        ("serve.requests_deadline", s.deadline_expired()),
+        ("serve.requests_quota", s.quota_shed()),
+        ("serve.request_errors", s.errors()),
+        ("serve.connections", s.connections()),
+        ("serve.slow_client_drops", s.slow_client_drops()),
+        ("serve.feedback_acks", s.feedback_acks()),
+        ("serve.requests_rect", s.rect_requests()),
+        ("serve.requests_halfspace", s.halfspace_requests()),
+        ("serve.requests_ball", s.ball_requests()),
+        ("serve.write_calls", s.write_calls()),
+        ("serve.cache_hits", cache.hits()),
+        ("serve.cache_misses", cache.misses()),
+    ])
+}
+
 /// The server state the endpoints read, borrowed by the poller for one
 /// answer.
 pub(crate) struct AdminView<'a> {
@@ -129,7 +153,7 @@ impl AdminView<'_> {
             "/metrics" => (
                 200,
                 "text/plain; version=0.0.4; charset=utf-8",
-                selearn_obs::expo::render(&self.counters()),
+                render_metrics(self.stats, self.cache),
             ),
             "/healthz" => (200, "text/plain; charset=utf-8", "ok\n".to_string()),
             "/readyz" => self.readyz(),
@@ -140,29 +164,6 @@ impl AdminView<'_> {
                 "not found; endpoints: /metrics /healthz /readyz /stats\n".to_string(),
             ),
         }
-    }
-
-    /// This server's serving counts under their exposition family names.
-    /// They are the same numbers `/stats` reads, and they count whether or
-    /// not obs stats are enabled.
-    fn counters(&self) -> [(&'static str, u64); 14] {
-        let s = self.stats;
-        [
-            ("serve.requests_total", s.requests()),
-            ("serve.requests_shed", s.shed()),
-            ("serve.requests_deadline", s.deadline_expired()),
-            ("serve.requests_quota", s.quota_shed()),
-            ("serve.request_errors", s.errors()),
-            ("serve.connections", s.connections()),
-            ("serve.slow_client_drops", s.slow_client_drops()),
-            ("serve.feedback_acks", s.feedback_acks()),
-            ("serve.requests_rect", s.rect_requests()),
-            ("serve.requests_halfspace", s.halfspace_requests()),
-            ("serve.requests_ball", s.ball_requests()),
-            ("serve.write_calls", s.write_calls()),
-            ("serve.cache_hits", self.cache.hits()),
-            ("serve.cache_misses", self.cache.misses()),
-        ]
     }
 
     fn readyz(&self) -> (u16, &'static str, String) {

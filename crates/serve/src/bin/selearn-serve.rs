@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! selearn-serve --model results/serve_model.model --addr 127.0.0.1:7878
-//! selearn-serve --synthetic 2 --run-secs 30 --trace-out trace.jsonl
+//! selearn-serve --synthetic 2 --run-secs 30 --metrics-out metrics.txt
 //! ```
 //!
 //! The model comes either from a persisted dump (`--model FILE`, the
@@ -24,6 +24,12 @@
 //! (newest valid checkpoint + WAL tail replay) and prints a
 //! machine-readable `{"recovered":…}` line;
 //! `--rollback GEN` rewinds to a retained generation before serving.
+//!
+//! With `--metrics-out FILE` the obs instruments are on, and the bounded
+//! run it requires (`--run-secs`) writes the body `/metrics` serves to
+//! FILE at its clean exit: the server's serving counts beside every counter, gauge
+//! and histogram (span timings, online refits' solver iterations and
+//! convergence) in the Prometheus text exposition.
 
 mod common;
 
@@ -37,7 +43,7 @@ const USAGE: &str = "usage: selearn-serve (--model FILE | --synthetic DIM) \
 [--addr HOST:PORT] [--admin-addr HOST:PORT] [--workers N] [--queue N] \
 [--cache-capacity N] [--deadline-ms N] [--run-secs N] [--stats] \
 [--synthetic-tenants N] [--tenant-rps X] [--tenant-burst X] \
-[--trace-out FILE] [--store-dir DIR] \
+[--metrics-out FILE] [--store-dir DIR] \
 [--checkpoint-every N] [--rollback GEN] [--drift-threshold X] \
 [--drift-windows K] [--drift-window-size N]";
 
@@ -56,7 +62,7 @@ fn main() {
     let tenant_rps = args.num::<f64>("--tenant-rps");
     let tenant_burst = args.num::<f64>("--tenant-burst");
     let stats = args.flag("--stats");
-    let trace_out = args.value("--trace-out");
+    let metrics_out = args.value("--metrics-out");
     let store_dir = args.value("--store-dir");
     let checkpoint_every = args.num::<u64>("--checkpoint-every");
     let rollback = args.num::<u64>("--rollback");
@@ -66,14 +72,8 @@ fn main() {
     args.finish();
 
     // The admin plane scrapes the metric registries, so it implies stats.
-    if stats || trace_out.is_some() || admin_addr.is_some() {
+    if stats || metrics_out.is_some() || admin_addr.is_some() {
         selearn_obs::enable_stats(true);
-    }
-    if let Some(path) = &trace_out {
-        if let Err(e) = selearn_obs::install_trace_file(std::path::Path::new(path)) {
-            eprintln!("cannot open trace file {path}: {e}");
-            std::process::exit(2);
-        }
     }
 
     let (mut model, root): (selearn_core::SharedEstimator, selearn_geom::Rect) =
@@ -149,6 +149,10 @@ fn main() {
         && (drift_threshold.is_some() || drift_windows.is_some() || drift_window_size.is_some())
     {
         eprintln!("drift monitoring scores acked feedback and requires --store-dir\n{USAGE}");
+        std::process::exit(2);
+    }
+    if metrics_out.is_some() && run_secs.unwrap_or(0) == 0 {
+        eprintln!("--metrics-out is written at the --run-secs exit and requires it\n{USAGE}");
         std::process::exit(2);
     }
 
@@ -250,11 +254,12 @@ fn main() {
 
     match run_secs {
         // Bounded run: serve for N seconds, then drain and summarize —
-        // how the CI smoke test gets a clean exit (and a flushed trace).
+        // how the CI smoke test gets a clean exit (and a metrics file).
         Some(secs) if secs > 0 => {
             std::thread::sleep(std::time::Duration::from_secs(secs));
             let stats_snapshot = Arc::clone(handle.stats());
-            let (hits, misses) = (handle.cache().hits(), handle.cache().misses());
+            let cache = Arc::clone(handle.cache());
+            let (hits, misses) = (cache.hits(), cache.misses());
             handle.shutdown();
             // Park the tail of the feedback stream in a final checkpoint
             // so the next start replays nothing.
@@ -265,8 +270,13 @@ fn main() {
                     }
                 }
             }
-            selearn_obs::flush_aggregates();
-            selearn_obs::flush_sink();
+            if let Some(path) = &metrics_out {
+                let body = selearn_serve::render_metrics(&stats_snapshot, &cache);
+                if let Err(e) = std::fs::write(path, body) {
+                    eprintln!("cannot write metrics file {path}: {e}");
+                    std::process::exit(1);
+                }
+            }
             println!(
                 "{{\"requests\":{},\"model\":{},\"cached\":{},\"degraded\":{},\"errors\":{},\"feedback\":{},\"write_calls\":{},\"cache_hits\":{hits},\"cache_misses\":{misses}}}",
                 stats_snapshot.requests(),

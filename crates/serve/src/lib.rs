@@ -67,6 +67,7 @@ pub mod registry;
 pub mod server;
 pub mod synth;
 
+pub use admin::render_metrics;
 pub use cache::{CacheKey, EstimateCache};
 pub use drift::{DriftConfig, DriftMonitor, DriftStatus};
 pub use client::{parse_response, run_load, Client, LoadOptions, LoadReport};

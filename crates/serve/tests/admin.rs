@@ -392,6 +392,78 @@ fn stage_histograms_count_what_the_server_counts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Online refits show on `/metrics`: the refit's span timings (the refit
+/// itself and its weight solve) and the solver's iterations and
+/// convergence, from acked feedback alone.
+#[test]
+fn metrics_show_online_refit_spans_and_solver_exits() {
+    let _g = obs_lock();
+    selearn_obs::reset();
+    selearn_obs::enable_stats(true);
+
+    let dir = std::env::temp_dir().join(format!("selearn-admin-refits-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store_config = StoreConfig::new(selearn_geom::Rect::unit(2));
+    store_config.refit_every = 8;
+    store_config.quadhist.max_leaves = 16;
+    let refit_every = store_config.refit_every;
+    let store = ModelStore::open(&dir, store_config).expect("store");
+    let (model, root) = synthetic_model(2, 200, 11).expect("synthetic fit");
+    let registry = Arc::new(ModelRegistry::new());
+    registry.register(DEFAULT_MODEL, Arc::new(model), root);
+    let durable = Arc::new(DurableFeedback::new(
+        store,
+        Arc::clone(&registry),
+        DEFAULT_MODEL,
+        0,
+    ));
+    let handle = start_with_feedback(
+        with_admin(),
+        registry,
+        Some(durable as Arc<dyn FeedbackSink>),
+    )
+    .expect("server");
+    let admin_addr = admin_addr(&handle);
+
+    let mut client = Client::connect(&handle.addr().to_string()).expect("connect");
+    for i in 0..2 * refit_every as u64 + 3 {
+        let x = (i % 5) as f64 / 10.0;
+        let fb = selearn_serve::Feedback::rect(
+            DEFAULT_MODEL,
+            vec![x, 0.1],
+            vec![x + 0.4, 0.7],
+            0.1 + x / 2.0,
+            Some(i),
+        );
+        let resp = client.feedback(&fb).expect("feedback");
+        assert!(matches!(resp, Response::Ack { .. }), "{resp:?}");
+    }
+
+    let (status, body) = http_get(&admin_addr, "/metrics");
+    assert_eq!(status, 200);
+    for series in [
+        "span_wall_us_count{path=\"refit.online\"}",
+        "span_wall_us_count{path=\"refit.online/estimate_weights\"}",
+        "solver_iters_count{solver=\"fista\"}",
+        "solver_final_residual_count{solver=\"fista\"}",
+    ] {
+        let count = check_exposition(&body, series).unwrap_or(0.0);
+        assert!(count >= 1.0, "{series} = {count}\n{body}");
+    }
+    assert_eq!(
+        body.matches("# TYPE span_wall_us histogram\n").count(),
+        1,
+        "{body}"
+    );
+    let unconverged = check_exposition(&body, "solver_unconverged{solver=\"fista\"}");
+    assert!(unconverged.is_some(), "{body}");
+
+    handle.shutdown();
+    selearn_obs::enable_stats(false);
+    selearn_obs::reset();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Each server's `/metrics` reports its own requests, not a process-wide
 /// total.
 #[test]

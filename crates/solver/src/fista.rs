@@ -142,9 +142,6 @@ pub fn fista_simplex_ls(
 
     for k in 0..opts.max_iters {
         iters = k + 1;
-        if selearn_obs::enabled() {
-            selearn_obs::solver_iteration("fista", k, loss_prev.max(0.0).sqrt(), step);
-        }
         // gradient step at the extrapolated point y
         gradient_step(&y, &mut w_next, &mut r, &mut g);
         let loss = loss_at(&w_next, &mut r);
@@ -192,9 +189,7 @@ pub fn fista_simplex_ls(
         converged,
         max_iters: opts.max_iters,
     };
-    if selearn_obs::sink_installed() {
-        result.report().emit();
-    }
+    result.report().emit();
     Ok(result)
 }
 

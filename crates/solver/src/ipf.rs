@@ -142,9 +142,6 @@ pub fn ipf_max_entropy(
             }
         }
         max_violation = violation(a, &w, s);
-        if selearn_obs::enabled() {
-            selearn_obs::solver_iteration("ipf", pass, max_violation, 0.0);
-        }
         if max_violation < opts.tol {
             break;
         }
@@ -157,9 +154,7 @@ pub fn ipf_max_entropy(
         converged: max_violation < opts.tol,
         max_passes: opts.max_passes,
     };
-    if selearn_obs::sink_installed() {
-        result.report().emit();
-    }
+    result.report().emit();
     Ok(result)
 }
 

@@ -169,9 +169,6 @@ pub fn linf_fit_smoothed(
         }
         simplex_projection(&mut w);
         let err = linf_error(a, &w, s);
-        if selearn_obs::enabled() {
-            selearn_obs::solver_iteration("linf-smoothed", k, err, step);
-        }
         if err < best_err {
             best_err = err;
             best_w = w.clone();
@@ -185,9 +182,7 @@ pub fn linf_fit_smoothed(
         converged: best_iter < (opts.max_iters * 9) / 10,
         final_residual: best_err,
     };
-    if selearn_obs::sink_installed() {
-        report.emit();
-    }
+    report.emit();
     Ok((best_w, report))
 }
 

@@ -69,9 +69,9 @@ fn validate_nnls(a: &DenseMatrix, b: &[f64], opts: &NnlsOptions) -> Result<(), S
 /// last iterate was returned. The passive-set subproblems are solved
 /// through the normal equations with Cholesky, which is accurate for the
 /// well-scaled design matrices produced by Equation (6) (entries in
-/// `[0, 1]`). Emits per-iteration convergence events and a terminal
-/// `solver-report` event when observability is enabled; bumps the
-/// `active_set_swaps` counter on every passive-set change.
+/// `[0, 1]`). Records its exit through [`SolveReport::emit`] when
+/// observability is enabled, and bumps the `active_set_swaps` counter on
+/// every passive-set change.
 pub fn nnls(
     a: &DenseMatrix,
     b: &[f64],
@@ -110,9 +110,6 @@ pub fn nnls(
                 }
         }
         last_res = r.iter().map(|v| v * v).sum::<f64>().sqrt();
-        if selearn_obs::enabled() {
-            selearn_obs::solver_iteration("nnls", k, last_res, best.map_or(0.0, |(_, v)| v));
-        }
         let Some((enter, _)) = best else {
             converged = true; // KKT satisfied
             iters = k;

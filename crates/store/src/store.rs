@@ -192,6 +192,17 @@ impl ModelStore {
             if record.lsn <= checkpoint_lsn {
                 continue;
             }
+            // The CRC vouches for the bytes, not for a record this store
+            // could have acknowledged (a range of the wrong dimension, a
+            // label outside [0, 1]): such a record cannot be replayed.
+            if let Err(e) = model.check_feedback(&record.feedback) {
+                let (segment, offset) = scan.record_start(record.lsn).unwrap_or_default();
+                return Err(SelearnError::WalCorrupt {
+                    segment,
+                    offset,
+                    what: format!("record lsn {}: {e}", record.lsn),
+                });
+            }
             // A durably acknowledged record must reach the model; refit
             // (solver) failures are deterministic on replay and recorded
             // rather than fatal, exactly as on the live path.
@@ -242,18 +253,14 @@ impl ModelStore {
     /// Ingests one feedback record durably: validates, appends to the
     /// WAL, *then* applies to the model. Returns the record's LSN — the
     /// acknowledgement token; a record whose LSN was returned survives
-    /// any crash. Validation failures ([`SelearnError::InvalidLabel`],
-    /// [`SelearnError::UnsupportedQuery`]) leave both log and model
-    /// untouched. A refit (solver) failure after the durable append is
+    /// any crash. Validation failures ([`SelearnError::InvalidLabel`] for
+    /// a label outside `[0, 1]`, [`SelearnError::Geom`] for a range of the
+    /// wrong dimension, [`SelearnError::UnsupportedQuery`]) leave both log
+    /// and model untouched. A refit (solver) failure after the durable append is
     /// *not* an error here — the observation is history; the failure is
     /// parked in [`ModelStore::take_refit_error`].
     pub fn observe(&mut self, feedback: TrainingQuery) -> Result<u64, SelearnError> {
-        if !feedback.selectivity.is_finite() || feedback.selectivity < 0.0 {
-            return Err(SelearnError::InvalidLabel {
-                query: self.model.observations(),
-                value: feedback.selectivity,
-            });
-        }
+        self.model.check_feedback(&feedback)?;
         let lsn = self.wal.append(&feedback)?;
         if let Err(e) = self.model.observe(feedback) {
             self.last_refit_error = Some(e);

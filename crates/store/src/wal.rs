@@ -125,6 +125,19 @@ impl WalScan {
     pub fn first_lsn(&self) -> Option<u64> {
         self.records.first().map(|r| r.lsn)
     }
+
+    /// Segment name and byte offset at which the record `lsn` starts, if
+    /// the log holds it.
+    pub fn record_start(&self, lsn: u64) -> Option<(String, u64)> {
+        self.segments.iter().find_map(|seg| {
+            let i = seg.record_ends.iter().position(|&(l, _)| l == lsn)?;
+            let start = match i {
+                0 => SEGMENT_HEADER_LEN,
+                _ => seg.record_ends[i - 1].1,
+            };
+            Some((seg.name.clone(), start))
+        })
+    }
 }
 
 /// Reads u32 LE at `offset` from `bytes` (caller guarantees bounds).

@@ -19,15 +19,19 @@
 //! | newest checkpoint deleted             | fallback to surviving one      |
 //! | every checkpoint destroyed            | fresh replay iff WAL is whole  |
 //! | CRC-valid checkpoint, hostile content | `CheckpointCorrupt`, fallback  |
+//! | CRC-valid WAL record, hostile content | `WalCorrupt` or clean recovery |
+//! | CRC-valid record of the wrong dim     | `WalCorrupt` at its offset     |
+//! | feedback the model would refuse       | refused before the log         |
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use selearn_core::{SelearnError, SelectivityEstimator, TrainingQuery};
-use selearn_geom::{Range, Rect};
+use selearn_geom::{GeomError, Range, Rect};
 use selearn_store::checkpoint::{checkpoint_name, config_fingerprint, read_checkpoint};
 use selearn_store::crc::crc32;
+use selearn_store::record::encode_payload;
 use selearn_store::wal::{scan_wal, segment_name, SEGMENT_HEADER_LEN, SEGMENT_MAGIC};
 use selearn_store::{ModelStore, StdVfs, StoreConfig};
 
@@ -275,6 +279,114 @@ fn duplicate_lsn_is_typed_corruption_even_with_valid_crc() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Replaces the framed record `lsn` with `payload` under a fresh length
+/// prefix and CRC, so only the record's content is hostile.
+fn rewrite_record(dir: &Path, lsn: u64, payload: &[u8]) {
+    let scan = scan_wal(&StdVfs, dir).expect("scan");
+    let (segment, start) = scan.record_start(lsn).expect("record in log");
+    let seg = scan
+        .segments
+        .iter()
+        .find(|s| s.name == segment)
+        .expect("segment");
+    let &(_, end) = seg
+        .record_ends
+        .iter()
+        .find(|&&(l, _)| l == lsn)
+        .expect("record end");
+    let path = dir.join(&segment);
+    let bytes = std::fs::read(&path).expect("read");
+    let mut out = bytes[..start as usize].to_vec();
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&bytes[end as usize..]);
+    std::fs::write(&path, out).expect("write");
+}
+
+/// The payload of record `lsn` as the log holds it.
+fn record_payload(dir: &Path, lsn: u64) -> Vec<u8> {
+    let scan = scan_wal(&StdVfs, dir).expect("scan");
+    let (segment, start) = scan.record_start(lsn).expect("record in log");
+    let seg = scan
+        .segments
+        .iter()
+        .find(|s| s.name == segment)
+        .expect("segment");
+    let &(_, end) = seg
+        .record_ends
+        .iter()
+        .find(|&&(l, _)| l == lsn)
+        .expect("record end");
+    let bytes = std::fs::read(dir.join(&segment)).expect("read");
+    bytes[(start + 8) as usize..end as usize].to_vec()
+}
+
+#[test]
+fn feedback_the_model_refuses_never_reaches_the_log() {
+    // Regression: a 3-D rect on a 2-D store was appended to the log and
+    // then panicked in the model, and every later open panicked replaying
+    // it; a label of 1e300 was appended and then split the model's
+    // partition until memory ran out.
+    let dir = test_dir("refused");
+    seed(&dir, 5, 50);
+    let mut store = ModelStore::open(&dir, config()).expect("open");
+    let wrong_dim = TrainingQuery::new(Rect::new(vec![0.1; 3], vec![0.6; 3]), 0.2);
+    let err = store.observe(wrong_dim).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SelearnError::Geom(GeomError::DimensionMismatch {
+                expected: 2,
+                got: 3,
+                ..
+            })
+        ),
+        "{err}"
+    );
+    let huge = TrainingQuery::new(Rect::new(vec![0.1; 2], vec![0.6; 2]), 1e300);
+    let err = store.observe(huge).unwrap_err();
+    assert!(matches!(err, SelearnError::InvalidLabel { .. }), "{err}");
+    assert_eq!(
+        store.last_lsn(),
+        5,
+        "a refused record must not reach the log"
+    );
+    assert_eq!(
+        store.observe(feedback(5)).expect("observe after refusal"),
+        6
+    );
+    drop(store);
+    let store = ModelStore::open(&dir, config()).expect("reopen");
+    assert_eq!(store.last_lsn(), 6);
+    assert_eq!(store.recovery().replayed_records, 6);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn crc_valid_record_of_the_wrong_dimension_is_corruption_at_its_offset() {
+    let dir = test_dir("wrong-dim-record");
+    seed(&dir, 8, 50);
+    let bad = TrainingQuery::new(Rect::new(vec![0.1; 3], vec![0.6; 3]), 0.2);
+    let mut payload = Vec::new();
+    encode_payload(7, &bad, &mut payload).expect("encode");
+    rewrite_record(&dir, 7, &payload);
+    let scan = scan_wal(&StdVfs, &dir).expect("a CRC-valid 3-D record scans");
+    let (segment, offset) = scan.record_start(7).expect("record 7");
+    match ModelStore::open(&dir, config()).unwrap_err() {
+        SelearnError::WalCorrupt {
+            segment: s,
+            offset: o,
+            what,
+        } => {
+            assert_eq!((s, o), (segment, offset));
+            assert!(what.contains("dimension mismatch"), "{what}");
+        }
+        other => panic!("expected WalCorrupt, got {other}"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn newest_checkpoint_deleted_falls_back() {
     let dir = test_dir("newest-deleted");
@@ -464,6 +576,111 @@ proptest! {
         let generation = store.recovery().generation;
         prop_assert!(generation == 1 || generation == 2, "{:?}: generation {}", m, generation);
         prop_assert_eq!(store.recovery().skipped_checkpoints, 2 - generation);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// One hostile edit of a WAL record's payload (layout in
+/// `selearn_store::record`: lsn, sel, tag, dim, coordinates). The frame's
+/// length and CRC are recomputed afterwards.
+#[derive(Clone, Debug)]
+enum WalMutation {
+    /// Replaces the range tag byte.
+    Tag(u8),
+    /// Re-encodes the record as a well-formed `tag` range of `dim`
+    /// dimensions.
+    Dim { tag: u8, dim: u16 },
+    /// Overwrites coordinate `index` (of the 2-D rect's four) with `value`.
+    Coord { index: usize, value: f64 },
+    /// Overwrites the selectivity.
+    Sel(f64),
+    /// Appends `n` bytes after the record.
+    Trailing(usize),
+    /// XORs the LSN with a mask.
+    Lsn(u64),
+}
+
+const TAGS: [u8; 5] = [b'R', b'B', b'H', b'Z', 0];
+/// Two of five disagree with the 2-D root but decode: they reach replay.
+const DIMS: [u16; 5] = [0, 1, 3, 65, 2];
+const HOSTILE: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5, 1e300];
+const LSN_MASKS: [u64; 5] = [1, 2, 3, 1 << 32, u64::MAX];
+
+/// Dimension edits get two draws in seven, each of the other kinds one.
+fn wal_mutation() -> impl Strategy<Value = (u64, WalMutation)> {
+    (1u64..=8, 0u32..7, 0usize..5, 0usize..4, 1usize..16).prop_map(|(lsn, kind, pick, index, n)| {
+        let m = match kind {
+            0 | 1 => WalMutation::Dim {
+                tag: TAGS[index % 3],
+                dim: DIMS[pick],
+            },
+            2 => WalMutation::Tag(TAGS[pick]),
+            3 => WalMutation::Coord {
+                index,
+                value: HOSTILE[pick],
+            },
+            4 => WalMutation::Sel(HOSTILE[pick]),
+            5 => WalMutation::Trailing(n),
+            _ => WalMutation::Lsn(LSN_MASKS[pick]),
+        };
+        (lsn, m)
+    })
+}
+
+fn mutate_payload(payload: &[u8], m: &WalMutation) -> Vec<u8> {
+    let mut p = payload.to_vec();
+    let put = |p: &mut Vec<u8>, at: usize, v: f64| {
+        p[at..at + 8].copy_from_slice(&v.to_bits().to_le_bytes());
+    };
+    match *m {
+        WalMutation::Tag(tag) => p[16] = tag,
+        WalMutation::Dim { tag, dim } => {
+            p.truncate(16);
+            p.push(tag);
+            p.extend_from_slice(&dim.to_le_bytes());
+            let d = usize::from(dim);
+            let coords: Vec<f64> = match tag {
+                b'R' => [vec![0.1; d], vec![0.6; d]].concat(),
+                b'B' => [vec![0.5; d], vec![0.2]].concat(),
+                _ => [vec![1.0; d], vec![0.5]].concat(),
+            };
+            for c in coords {
+                p.extend_from_slice(&c.to_bits().to_le_bytes());
+            }
+        }
+        WalMutation::Coord { index, value } => put(&mut p, 19 + 8 * index, value),
+        WalMutation::Sel(value) => put(&mut p, 8, value),
+        WalMutation::Trailing(n) => p.extend(std::iter::repeat_n(0xA5, n)),
+        WalMutation::Lsn(mask) => {
+            let mut lsn = [0u8; 8];
+            lsn.copy_from_slice(&p[..8]);
+            p[..8].copy_from_slice(&(u64::from_le_bytes(lsn) ^ mask).to_le_bytes());
+        }
+    }
+    p
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A WAL record whose CRC is valid but whose content is hostile — an
+    /// unknown tag, a dimension of 0, 65 or one that disagrees with the
+    /// root, a non-finite or inverted coordinate, a bad selectivity,
+    /// trailing bytes, a wrong LSN — either replays as a well-formed
+    /// record or fails recovery with `WalCorrupt`; it never panics and is
+    /// never dropped silently.
+    #[test]
+    fn crc_valid_hostile_wal_record_never_panics(case in wal_mutation()) {
+        let (lsn, m) = case;
+        let dir = test_dir("hostile-wal");
+        seed(&dir, 8, 50);
+        let mutated = mutate_payload(&record_payload(&dir, lsn), &m);
+        rewrite_record(&dir, lsn, &mutated);
+        match ModelStore::open(&dir, config()) {
+            Ok(store) => prop_assert_eq!(store.last_lsn(), 8, "{:?} at lsn {}", m, lsn),
+            Err(SelearnError::WalCorrupt { .. }) => {}
+            Err(e) => return Err(TestCaseError::fail(format!("{m:?} at lsn {lsn}: untyped recovery error {e}"))),
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
